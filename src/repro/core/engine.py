@@ -87,9 +87,7 @@ class ServiceEngine:
         #: fault-injection subsystem (None until install_faults)
         self._faults = None
         self._watchdogs: dict[str, Any] = {}
-        #: fleet telemetry (None until attach_service_monitor)
-        self._service_monitor = None
-        #: trajectory telemetry (None until attach_timeseries)
+        #: the one telemetry sampler (None until attach_timeseries)
         self._timeseries_sampler = None
         #: live (unclosed) client compositions, for buffer sampling
         self.compositions: list["ClientComposition"] = []
@@ -369,32 +367,14 @@ class ServiceEngine:
         return self._watchdogs
 
     # -- service telemetry --------------------------------------------------
-    def attach_service_monitor(self, interval_s: float = 0.25):
-        """Start fleet-level telemetry sampling (idempotent).
-
-        The monitor ticks on the simulated clock, so an attached
-        engine stays deterministic; population runs pick the report
-        up automatically (``PopulationResult.service``).
-        """
-        if self._service_monitor is None:
-            from repro.obs.service_metrics import ServiceMonitor
-
-            self._service_monitor = ServiceMonitor(
-                self, interval_s=interval_s)
-            self._service_monitor.start()
-        return self._service_monitor
-
-    @property
-    def service_monitor(self):
-        """The attached :class:`ServiceMonitor`, or ``None``."""
-        return self._service_monitor
-
     def attach_timeseries(self, interval_s: float = 0.25):
-        """Start fixed-interval trajectory sampling (idempotent).
+        """Start the fleet telemetry sampler (idempotent).
 
-        Like :meth:`attach_service_monitor`, the sampler ticks on the
-        simulated clock; population runs pick the series up
-        automatically (``PopulationResult.timeseries``).
+        One :class:`~repro.obs.timeseries.TimeSeriesSampler` ticks on
+        the simulated clock, so an attached engine stays
+        deterministic; population runs pick up both of its documents
+        automatically (``PopulationResult.service`` and
+        ``PopulationResult.timeseries``).
         """
         if self._timeseries_sampler is None:
             from repro.obs.timeseries import TimeSeriesSampler
@@ -403,6 +383,9 @@ class ServiceEngine:
                 self, interval_s=interval_s)
             self._timeseries_sampler.start()
         return self._timeseries_sampler
+
+    #: the service report and the time series share one sampler
+    attach_service_monitor = attach_timeseries
 
     @property
     def timeseries_sampler(self):

@@ -69,11 +69,10 @@ class PopulationResult:
     #: run-wide metrics rollup (sum of per-session event counts plus
     #: any run-level instruments); filled when the engine is traced
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: fleet-level ServiceReport dict; filled when the engine has a
-    #: service monitor attached (empty otherwise)
+    #: fleet-level ServiceReport dict, reduced from the engine's
+    #: telemetry sampler (empty when none is attached)
     service: dict[str, Any] = field(default_factory=dict)
-    #: sampled TimeSeries dict; filled when the engine has a
-    #: timeseries sampler attached (empty otherwise)
+    #: the same sampler's TimeSeries dict (empty when none is attached)
     timeseries: dict[str, Any] = field(default_factory=dict)
 
     def aggregate_metrics(self) -> dict[str, int]:
@@ -89,25 +88,9 @@ class PopulationResult:
 
         Empty when the run was untraced (sessions carry no QoE dicts).
         """
-        from repro.obs.qoe import SessionQoE, qoe_summary
+        from repro.obs.qoe import qoe_summary_of_dicts
 
-        qoes = []
-        for o in self.outcomes:
-            q = o.result.qoe
-            if not q:
-                continue
-            qoe = SessionQoE(session=q.get("session", o.session_id))
-            for key in ("score", "duration_s", "startup_s", "stall_count",
-                        "stall_time_s", "skew_violations",
-                        "degraded_time_s", "frames_sent", "frames_played",
-                        "frames_dropped", "frames_lost"):
-                if key in q:
-                    setattr(qoe, key, q[key])
-            qoe.latency = dict(q.get("latency", {}))
-            qoes.append(qoe)
-        if not qoes:
-            return {}
-        return qoe_summary(qoes)
+        return qoe_summary_of_dicts(o.result.qoe for o in self.outcomes)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -436,16 +419,21 @@ class SessionOrchestrator:
         if snapshot and getattr(tracer, "events", None):
             # One correlation pass over the trace serves every session:
             # frame spans -> per-session QoE summaries on the results.
+            # Events and spans are bucketed by session once, so each
+            # session scores its own share, not the whole trace.
             from repro.obs.lifecycle import correlate_frames
             from repro.obs.qoe import score_session
 
-            spans = correlate_frames(tracer.events)
+            events: dict[Any, list] = {}
+            for e in tracer.events:
+                events.setdefault(e.session, []).append(e)
+            spans: dict[Any, dict] = {}
+            for key, span in correlate_frames(tracer.events).items():
+                spans.setdefault(span.session, {})[key] = span
             for outcome in outcomes:
                 sess = outcome.session_id
                 outcome.result.qoe = score_session(
-                    tracer.events, sess,
-                    spans={k: s for k, s in spans.items()
-                           if s.session == sess},
+                    events.get(sess, []), sess, spans=spans.get(sess, {}),
                 ).to_dict()
         return outcomes
 
@@ -516,11 +504,9 @@ class SessionOrchestrator:
             registry = getattr(tracer, "metrics", None)
             if registry is not None:
                 result.metrics["_registry"] = registry.snapshot()
-        monitor = getattr(self.engine, "service_monitor", None)
-        if monitor is not None:
-            result.service = monitor.report().to_dict()
         sampler = getattr(self.engine, "timeseries_sampler", None)
         if sampler is not None:
+            result.service = sampler.report().to_dict()
             result.timeseries = sampler.series.to_dict()
         return result
 

@@ -239,7 +239,6 @@ def run_chaos(
         "srv1",
         documents={"doc": (chaos_markup(duration), "chaos")},
     )
-    eng.attach_service_monitor()
     eng.attach_timeseries()
     if scenario.replica:
         eng.add_media_replica("srv1", "media")

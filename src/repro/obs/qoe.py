@@ -16,13 +16,14 @@ grade, so a clean run always ranks strictly above an impaired one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable
 
 from repro.obs.lifecycle import FrameSpan, correlate_frames
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.tracer import TraceEvent
 
 __all__ = ["SessionQoE", "score_session", "score_sessions",
-           "qoe_summary"]
+           "qoe_summary", "qoe_summary_of_dicts"]
 
 #: latency histogram bounds shared by all QoE scorers
 LATENCY_BOUNDS = log_buckets(1e-4, 100.0, per_decade=9)
@@ -242,3 +243,31 @@ def qoe_summary(qoes: list[SessionQoE] | dict[str, SessionQoE]) -> dict:
         "frame_latency_p50_s": latency.summary(),
         **totals,
     }
+
+
+#: scalar fields a ``SessionQoE.to_dict()`` document carries back
+_QOE_FIELDS = ("score", "duration_s", "startup_s", "stall_count",
+               "stall_time_s", "skew_violations", "degraded_time_s",
+               "frames_sent", "frames_played", "frames_dropped",
+               "frames_lost")
+
+
+def qoe_summary_of_dicts(
+    docs: Iterable[dict[str, Any] | None],
+) -> dict[str, Any]:
+    """:func:`qoe_summary` over ``SessionQoE.to_dict()`` documents.
+
+    Empty documents (untraced sessions) are skipped; the result is
+    empty when none remain.
+    """
+    qoes = []
+    for doc in docs:
+        if not doc:
+            continue
+        qoe = SessionQoE(session=doc.get("session", ""))
+        for key in _QOE_FIELDS:
+            if key in doc:
+                setattr(qoe, key, doc[key])
+        qoe.latency = dict(doc.get("latency", {}))
+        qoes.append(qoe)
+    return qoe_summary(qoes) if qoes else {}

@@ -4,9 +4,10 @@ Per-session traces and QoE (PRs 2-3) answer "how did this viewer
 do?"; a service operator instead watches the fleet: how many streams
 each media server carries, how much egress leaves the origin versus
 the edges, how often admission turns viewers away, and how fast
-failures recover. A :class:`ServiceMonitor` samples those series on
-the *simulated* clock (so runs stay deterministic) and rolls them up
-into a :class:`ServiceReport`.
+failures recover. The engine's one DES-clock sampler,
+:class:`~repro.obs.timeseries.TimeSeriesSampler`, samples those series
+on the *simulated* clock (so runs stay deterministic) and rolls them
+up into a :class:`ServiceReport`.
 
 The report's :meth:`ServiceReport.merge` is associative and
 commutative — counters and byte totals add, peaks take the max,
@@ -18,12 +19,12 @@ their reports in any order, get the same fleet rollup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.metrics import Histogram, log_buckets
 
-__all__ = ["ServerLoad", "ServiceReport", "ServiceMonitor",
-           "SERVICE_SCHEMA", "SERVICE_SCHEMA_VERSION", "RECOVERY_BOUNDS"]
+__all__ = ["ServerLoad", "ServiceReport", "SERVICE_SCHEMA",
+           "SERVICE_SCHEMA_VERSION", "RECOVERY_BOUNDS"]
 
 SERVICE_SCHEMA = "repro.service"
 SERVICE_SCHEMA_VERSION = 1
@@ -42,12 +43,6 @@ class ServerLoad:
     samples: int = 0
     sum_streams: int = 0
     peak_streams: int = 0
-
-    def observe(self, n_streams: int) -> None:
-        self.samples += 1
-        self.sum_streams += n_streams
-        if n_streams > self.peak_streams:
-            self.peak_streams = n_streams
 
     @property
     def mean_streams(self) -> float:
@@ -325,109 +320,3 @@ class ServiceReport:
             recovery.get("time_to_recover_s", {}))
         return report
 
-
-class ServiceMonitor:
-    """Samples fleet state on the DES clock and builds ServiceReports.
-
-    Attach one per engine via ``engine.attach_service_monitor()``; the
-    sampler is an ordinary simulation process ticking every
-    ``interval_s`` of *simulated* time, so sampled series are exactly
-    reproducible across runs (and add a handful of kernel events, not
-    wall-clock jitter). ``report()`` may be called at any instant —
-    egress, admission and recovery state are read live; only the
-    concurrent-stream series needs the ticks.
-    """
-
-    def __init__(self, engine: Any, interval_s: float = 0.25) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        self.engine = engine
-        self.sim = engine.sim
-        self.interval_s = interval_s
-        self.samples = 0
-        self._loads: dict[str, ServerLoad] = {}
-        self._started = False
-
-    # -- sampling -----------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the sampler process (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.sim.process(self._sampler(), name="service-monitor")
-
-    def _sampler(self) -> Iterator[Any]:
-        while True:
-            yield self.sim.timeout(self.interval_s)
-            self.sample()
-
-    def sample(self) -> None:
-        """Take one concurrent-stream sample across the fleet."""
-        self.samples += 1
-        for server in self.engine.servers.values():
-            for ms in server.all_media_servers():
-                load = self._loads.get(ms.name)
-                if load is None:
-                    load = self._loads[ms.name] = ServerLoad(
-                        region=ms.region or "origin")
-                load.observe(len(ms.streams))
-
-    # -- live state readers -------------------------------------------------
-    def _serving_hosts(self) -> dict[str, str]:
-        """node id -> region label for every serving media host."""
-        hosts: dict[str, str] = {}
-        for server in self.engine.servers.values():
-            for ms in server.all_media_servers():
-                hosts[ms.node_id] = ms.region or "origin"
-        return hosts
-
-    def _egress_by_host(self) -> dict[str, dict[str, Any]]:
-        hosts = self._serving_hosts()
-        out: dict[str, dict[str, Any]] = {
-            host: {"bytes": 0, "region": region}
-            for host, region in sorted(hosts.items())
-        }
-        for (src, _dst), link in self.engine.network.links.items():
-            if src in out:
-                out[src]["bytes"] += link.stats.tx_bytes
-        return out
-
-    def _admission_by_server(self) -> dict[str, dict[str, Any]]:
-        out: dict[str, dict[str, Any]] = {}
-        for name in sorted(self.engine.servers):
-            stats = self.engine.servers[name].admission.stats
-            out[name] = {
-                "requests": stats.requests,
-                "admitted": stats.admitted,
-                "rejected": stats.rejected,
-                "by_contract": {c: list(stats.by_contract[c])
-                                for c in sorted(stats.by_contract)},
-            }
-        return out
-
-    def report(self) -> ServiceReport:
-        """The fleet rollup as of the current simulated instant."""
-        report = ServiceReport(
-            interval_s=self.interval_s,
-            duration_s=self.sim.now,
-            samples=self.samples,
-            egress_by_host=self._egress_by_host(),
-            admission_by_server=self._admission_by_server(),
-        )
-        for name in sorted(self._loads):
-            load = self._loads[name]
-            report.servers[name] = ServerLoad(
-                region=load.region, samples=load.samples,
-                sum_streams=load.sum_streams,
-                peak_streams=load.peak_streams,
-            )
-        for watchdog in self.engine.watchdogs.values():
-            report.detections += watchdog.detections
-            report.streams_failed_over += watchdog.streams_failed_over
-            report.streams_lost += watchdog.streams_lost
-            report.sessions_saved += len(watchdog.sessions_saved)
-            for t in watchdog.detect_times:
-                report.detect_hist.observe(t)
-            for t in watchdog.recover_times:
-                report.recover_hist.observe(t)
-        return report

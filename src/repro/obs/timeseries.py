@@ -1,13 +1,18 @@
-"""Fixed-interval time-series telemetry on the DES clock.
+"""Fixed-interval fleet telemetry on the DES clock.
 
-:class:`ServiceMonitor` (PR 7) rolls a run up into end-of-run
-aggregates; this module keeps the *trajectory*. A
-:class:`TimeSeriesSampler` ticks every ``interval_s`` of simulated
-time and appends one row to a columnar :class:`TimeSeries`: per-media-
-server concurrent streams, per-host egress rate, peak link
-utilization, admission accept/block deltas, client buffer occupancy
-and DES event-queue depth. Because sampling rides the simulated
-clock, the series is exactly reproducible run-to-run.
+A :class:`TimeSeriesSampler` is the engine's one telemetry process.
+It ticks every ``interval_s`` of simulated time and appends one row
+to a columnar :class:`TimeSeries`: per-media-server concurrent
+streams, per-host egress, peak link utilization, admission
+accept/block deltas, client buffer occupancy and DES event-queue
+depth. Because sampling rides the simulated clock, the series is
+exactly reproducible run-to-run.
+
+The same sampler feeds both telemetry documents: the *trajectory*
+(:attr:`TimeSeriesSampler.series`) and the end-of-run
+:class:`~repro.obs.service_metrics.ServiceReport`
+(:meth:`TimeSeriesSampler.report`), whose per-server loads are a
+reduction of the ``streams.<ms>`` columns.
 
 Shard-merge contract (ROADMAP item 1): every column declares how it
 combines *across shards* (``merge``: level gauges and interval deltas
@@ -25,6 +30,8 @@ embedded in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key.
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
+
+from repro.obs.service_metrics import ServerLoad, ServiceReport
 
 __all__ = ["Column", "TimeSeries", "TimeSeriesSampler",
            "TIMESERIES_SCHEMA", "TIMESERIES_SCHEMA_VERSION"]
@@ -233,10 +240,39 @@ class TimeSeries:
         return out
 
 
-class TimeSeriesSampler:
-    """Samples fleet trajectories on the DES clock.
+def _serving_egress(eng: Any) -> dict[str, dict[str, Any]]:
+    """Serving media host -> bytes sent so far and its region label."""
+    out: dict[str, dict[str, Any]] = {}
+    for server in eng.servers.values():
+        for ms in server.all_media_servers():
+            out[ms.node_id] = {"bytes": 0, "region": ms.region or "origin"}
+    for (src, _dst), link in eng.network.links.items():
+        entry = out.get(src)
+        if entry is not None:
+            entry["bytes"] += link.stats.tx_bytes
+    return {host: out[host] for host in sorted(out)}
 
-    Attach via ``engine.attach_timeseries()``. Columns:
+
+def _admission_by_server(eng: Any) -> dict[str, dict[str, Any]]:
+    """Multimedia-server name -> its admission stats so far."""
+    out: dict[str, dict[str, Any]] = {}
+    for name in sorted(eng.servers):
+        stats = eng.servers[name].admission.stats
+        out[name] = {
+            "requests": stats.requests,
+            "admitted": stats.admitted,
+            "rejected": stats.rejected,
+            "by_contract": {c: list(stats.by_contract[c])
+                            for c in sorted(stats.by_contract)},
+        }
+    return out
+
+
+class TimeSeriesSampler:
+    """The engine's one DES-clock telemetry process.
+
+    Attach via ``engine.attach_timeseries()`` (or its alias
+    ``attach_service_monitor()``). Columns:
 
     ======================== ===== ======== ==============================
     column                   merge resample meaning (per tick)
@@ -270,6 +306,8 @@ class TimeSeriesSampler:
         self.interval_s = interval_s
         self.series = TimeSeries(interval_s=interval_s)
         self._started = False
+        #: media-server name -> region label, in first-sampled order
+        self._regions: dict[str, str] = {}
         self._last_egress: dict[str, int] = {}
         self._last_busy: dict[Any, float] = {}
         self._last_admit: dict[str, tuple[int, int]] = {}
@@ -296,23 +334,16 @@ class TimeSeriesSampler:
         for name in sorted(eng.servers):
             for ms in eng.servers[name].all_media_servers():
                 col = f"streams.{ms.name}"
-                series.ensure_column(col, merge="sum", resample="max")
+                if ms.name not in self._regions:
+                    self._regions[ms.name] = ms.region or "origin"
+                    series.ensure_column(col, merge="sum", resample="max")
                 row[col] = float(len(ms.streams))
 
         # Per-interval egress off each serving host (delta counter).
-        hosts = {
-            ms.node_id
-            for server in eng.servers.values()
-            for ms in server.all_media_servers()
-        }
-        tx_by_host: dict[str, int] = {h: 0 for h in hosts}
-        for (src, _dst), link in eng.network.links.items():
-            if src in tx_by_host:
-                tx_by_host[src] += link.stats.tx_bytes
-        for host in sorted(tx_by_host):
+        for host, entry in _serving_egress(eng).items():
             col = f"egress_bytes.{host}"
             series.ensure_column(col, merge="sum", resample="sum")
-            cur = tx_by_host[host]
+            cur = entry["bytes"]
             row[col] = float(cur - self._last_egress.get(host, 0))
             self._last_egress[host] = cur
 
@@ -355,3 +386,41 @@ class TimeSeriesSampler:
         row["event_queue_depth"] = float(len(self.sim._heap))
 
         series.tick(row)
+
+    # -- end-of-run rollup ---------------------------------------------------
+    def report(self) -> ServiceReport:
+        """The fleet rollup as of the current simulated instant.
+
+        Each server's load reduces its ``streams.<ms>`` column: every
+        tick is a sample, the column total is ``sum_streams`` and the
+        column peak is ``peak_streams``. Egress, admission and
+        recovery state are read live, so ``report()`` may be called at
+        any instant.
+        """
+        eng = self.engine
+        series = self.series
+        report = ServiceReport(
+            interval_s=self.interval_s,
+            duration_s=self.sim.now,
+            samples=series.ticks,
+            egress_by_host=_serving_egress(eng),
+            admission_by_server=_admission_by_server(eng),
+        )
+        for name in sorted(self._regions):
+            col = f"streams.{name}"
+            report.servers[name] = ServerLoad(
+                region=self._regions[name], samples=series.ticks,
+                sum_streams=int(series.total(col)),
+                peak_streams=int(series.peak(col)),
+            )
+        for watchdog in eng.watchdogs.values():
+            report.detections += watchdog.detections
+            report.streams_failed_over += watchdog.streams_failed_over
+            report.streams_lost += watchdog.streams_lost
+            report.sessions_saved += len(watchdog.sessions_saved)
+            for t in watchdog.detect_times:
+                report.detect_hist.observe(t)
+            for t in watchdog.recover_times:
+                report.recover_hist.observe(t)
+        return report
+

@@ -123,27 +123,13 @@ def merged_digest(merged: dict[str, Any]) -> str:
 def qoe_summary_of(merged: dict[str, Any]) -> dict[str, Any]:
     """Population QoE rollup over a merged doc's outcome QoE dicts.
 
-    Mirrors :meth:`PopulationResult.qoe_summary` field for field, so
-    a sharded run reports the same percentiles a monolithic run
-    would. Empty when the outcomes carry no QoE (untraced cells).
+    Shares :func:`~repro.obs.qoe.qoe_summary_of_dicts` with
+    :meth:`PopulationResult.qoe_summary`, so a sharded run reports
+    the same percentiles a monolithic run would. Empty when the
+    outcomes carry no QoE (untraced cells).
     """
-    from repro.obs.qoe import SessionQoE, qoe_summary
+    from repro.obs.qoe import qoe_summary_of_dicts
 
-    qoes = []
-    for outcome in merged.get("outcomes", []):
-        q = outcome.get("result", {}).get("qoe")
-        if not q:
-            continue
-        qoe = SessionQoE(session=q.get("session",
-                                       outcome.get("session_id", "")))
-        for key in ("score", "duration_s", "startup_s", "stall_count",
-                    "stall_time_s", "skew_violations", "degraded_time_s",
-                    "frames_sent", "frames_played", "frames_dropped",
-                    "frames_lost"):
-            if key in q:
-                setattr(qoe, key, q[key])
-        qoe.latency = dict(q.get("latency", {}))
-        qoes.append(qoe)
-    if not qoes:
-        return {}
-    return qoe_summary(qoes)
+    return qoe_summary_of_dicts(
+        outcome.get("result", {}).get("qoe")
+        for outcome in merged.get("outcomes", []))

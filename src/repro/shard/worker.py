@@ -63,8 +63,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
         workload.server,
         documents={workload.document: (workload.markup, workload.topic)},
     )
-    eng.attach_service_monitor()
-    eng.attach_timeseries()
+    sampler = eng.attach_timeseries()
     if workload.fault_plan is not None:
         from repro.faults.plan import FaultPlan
 
@@ -92,17 +91,13 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
             outcome.result.qoe["session"] = outcome.session_id
     pop.metrics = pop.aggregate_metrics()
     pop_doc = pop.to_dict()
-    service_doc = eng.service_monitor.report().to_dict() \
-        if eng.service_monitor is not None else {}
-    ts_doc = eng.timeseries_sampler.series.to_dict() \
-        if eng.timeseries_sampler is not None else {}
     return {
         "cell": cell,
         "lo": lo,
         "hi": hi,
         "population": pop_doc,
-        "service": service_doc,
-        "timeseries": ts_doc,
+        "service": sampler.report().to_dict(),
+        "timeseries": sampler.series.to_dict(),
         "events": sum(tracer.kind_counts().values()),
         "wall_s": wall_s,
         "digest": population_digest(pop_doc),

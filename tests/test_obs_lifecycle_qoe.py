@@ -43,6 +43,7 @@ from repro.obs.bench import (
     run_benchmarks,
     run_scenario,
 )
+from repro.shard.merge import qoe_summary_of
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +338,26 @@ def test_qoe_clean_population_beats_lossy_population():
     assert clean["score"]["p50"] > lossy["score"]["p50"]
     assert clean["frames_played"] > lossy["frames_played"]
 
-    # the same scores ride on the population results
+    # the same scores ride on the population results, byte for byte
+    for pop, tracer in ((clean_pop, clean_tr), (lossy_pop, lossy_tr)):
+        reference = score_sessions(tracer.events)
+        for outcome in pop.outcomes:
+            assert json.dumps(outcome.result.qoe, sort_keys=True) == \
+                json.dumps(reference[outcome.session_id].to_dict(),
+                           sort_keys=True)
     for outcome in clean_pop.outcomes:
         assert outcome.result.qoe["score"] > 0
     assert clean_pop.qoe_summary()["sessions"] == 2
+
+
+def test_population_and_shard_qoe_rollups_agree():
+    tracer = RecordingTracer()
+    eng = ServiceEngine(EngineConfig(seed=3), tracer=tracer)
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0, True), "x")})
+    pop = eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.3)
+    summary = pop.qoe_summary()
+    assert summary["sessions"] == 3
+    assert summary == qoe_summary_of(pop.to_dict())
 
 
 def test_untraced_population_has_no_qoe():

@@ -9,6 +9,7 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.faults.digest import canonical_json
 from repro.faults.scenarios import run_chaos
+from repro.net import cdn_stack
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.service_metrics import ServerLoad, ServiceReport
 
@@ -253,3 +254,42 @@ def test_monitor_absent_keeps_to_dict_shape():
     pop = eng.orchestrator.run_population(1, "srv1", "doc")
     assert pop.service == {}
     assert "service" not in pop.to_dict()
+
+
+# -- one sampler, two documents -------------------------------------------------
+
+def _population(layers, attach):
+    """A small population whose engine attaches telemetry by ``attach``."""
+    eng = ServiceEngine(EngineConfig(seed=5), layers=layers)
+    eng.add_server("srv1",
+                   documents={"doc": (av_markup(2.0, False), "t")})
+    sampler = getattr(eng, attach)()
+    assert eng.attach_service_monitor() is eng.attach_timeseries() \
+        is sampler
+    return eng.orchestrator.run_population(2, "srv1", "doc",
+                                           stagger_s=0.3)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: _population(None, "attach_service_monitor"),
+                 id="star"),
+    pytest.param(lambda: _population(
+        cdn_stack(clients_per_region=1, replicate=True),
+        "attach_timeseries"), id="cdn"),
+    pytest.param(lambda: run_chaos("crash", smoke=True).population,
+                 id="chaos-crash"),
+    pytest.param(lambda: run_chaos("replica-crash", smoke=True).population,
+                 id="chaos-replica-crash"),
+])
+def test_service_report_is_a_reduction_of_the_series(run):
+    pop = run()
+    service, series = pop.service, pop.timeseries
+    assert service and series
+    ticks = series["ticks"]
+    assert ticks > 0
+    assert service["samples"] == ticks
+    assert service["servers"]
+    for name, load in service["servers"].items():
+        values = series["columns"][f"streams.{name}"]["values"]
+        assert (load["samples"], load["sum_streams"],
+                load["peak_streams"]) == (ticks, sum(values), max(values))

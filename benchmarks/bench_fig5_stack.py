@@ -12,6 +12,7 @@ from repro.hermes import Attachment, HermesService, MailMessage, make_course
 
 def run_lesson_and_mail():
     svc = HermesService()
+    svc.engine.network.tap.enabled_detail = True
     svc.add_hermes_server(
         "hermes-nets", "Networking unit", ["networking"],
         make_course("nets", "networking", n_lessons=1, segment_s=5.0),

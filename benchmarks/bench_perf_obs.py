@@ -26,7 +26,7 @@ import os
 import time
 from contextlib import contextmanager
 
-from repro.des import QueueFullError, Simulator
+from repro.des import Simulator
 from repro.net import Network, Packet
 from repro.net.link import Link
 from repro.net.topology import Node
@@ -50,19 +50,34 @@ def _plain_step(self) -> None:
 
 
 def _plain_enqueue(self, pkt) -> bool:
-    try:
-        self.queue.put_nowait(pkt)
-        return True
-    except QueueFullError:
-        self.stats.queue_drops += 1
+    if not self.up:
+        self._drop_down(pkt)
+        return False
+    sim = self.sim
+    now = sim._now
+    unfinished = self._unfinished
+    if unfinished and unfinished[0][0] <= now:
+        self._credit(now)
+    if len(unfinished) > self.queue_packets:
+        self._stats.queue_drops += 1
         if self.on_drop is not None:
             self.on_drop(pkt, "drop-queue")
         return False
+    ser = self.serialization_delay(pkt.size_bytes)
+    busy_until = self.busy_until
+    end = (now if now > busy_until else busy_until) + ser
+    self.busy_until = end
+    unfinished.append((end, ser, pkt.size_bytes))
+    sim.call_at(end + self.delay_s, self._arrive, pkt)
+    return True
 
 
 def _plain_propagated(self, pkt) -> None:
+    if not self.up:
+        self._drop_down(pkt)
+        return
     if self.loss_model is not None and self.loss_model.is_lost():
-        self.stats.loss_drops += 1
+        self._stats.loss_drops += 1
         if self.on_drop is not None:
             self.on_drop(pkt, "drop-loss")
         return

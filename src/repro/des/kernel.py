@@ -10,8 +10,9 @@ The kernel is intentionally small and deterministic:
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
-:meth:`Simulator.timeout`, :meth:`Simulator.event` and the resource
-classes in :mod:`repro.des.resources`.
+:meth:`Simulator.timeout`, :meth:`Simulator.event`,
+:meth:`Simulator.call_at` and the resource classes in
+:mod:`repro.des.resources`.
 """
 
 from __future__ import annotations
@@ -372,6 +373,23 @@ class Simulator:
         t = Timeout(self, delay)
         t.callbacks.append(lambda _ev: fn())
         return t
+
+    def call_at(
+        self, when: float, callback: Callable[[Event], None], value: Any = None
+    ) -> Event:
+        """Invoke ``callback(event)`` at absolute time ``when``.
+
+        The heap entry is one plain :class:`Event` carrying ``value``
+        with ``callback`` as its only callback — no :class:`Timeout`,
+        no closure — so a packet's arrival at the far end of a link
+        costs one kernel event, and profilers that dispatch
+        ``event.callbacks`` themselves see the real handler.
+        """
+        ev = Event(self)
+        ev._value = value
+        ev.callbacks.append(callback)
+        self._schedule_at(when, ev)
+        return ev
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

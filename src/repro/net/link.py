@@ -7,10 +7,11 @@ emerge here rather than being injected as closed-form noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.des import QueueFullError, Simulator, Store
+from repro.des import Event, Simulator
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,21 +32,29 @@ class LinkStats:
     #: (fault injection), at ingress or while in flight
     fault_drops: int = 0
     busy_time: float = 0.0
-    occupancy_samples: list[tuple[float, int]] = field(default_factory=list)
 
     def utilisation(self, elapsed: float) -> float:
         return 0.0 if elapsed <= 0 else self.busy_time / elapsed
 
 
 class Link:
-    """Unidirectional link ``src -> dst``.
+    """Unidirectional link ``src -> dst``: an analytic drop-tail FIFO.
 
-    One transmitter process drains the drop-tail queue at
-    ``rate_bps``; after serialisation each packet propagates for
-    ``delay_s`` and is then handed to ``on_arrival`` (wired by the
-    :class:`~repro.net.topology.Network` to the next hop). Random
-    loss (e.g. a noisy last-mile) is modelled by an optional
-    Gilbert–Elliott process applied after propagation.
+    The transmitter is closed-form, not a process. A packet offered at
+    ``now`` starts service at ``start = max(now, busy_until)``, leaves
+    the wire at ``end = start + size * 8 / rate_bps`` and reaches the
+    far end at ``end + delay_s``, where ``on_arrival`` (wired by the
+    :class:`~repro.net.topology.Network` to the next hop) receives it.
+    ``enqueue`` schedules that arrival with :meth:`Simulator.call_at`,
+    so each hop costs one kernel event. Random loss (e.g. a noisy
+    last-mile) is an optional Gilbert–Elliott process applied on
+    arrival.
+
+    ``queue_packets`` bounds the waiting room; the packet in service
+    is not counted. A packet whose service ends at ``now`` has left
+    before anything else is asked of the link at ``now``. Transmit
+    counters are credited at service end, lazily: reading
+    :attr:`stats` adds every packet with ``end <= now``.
     """
 
     def __init__(
@@ -62,27 +71,47 @@ class Link:
             raise ValueError(f"rate_bps must be positive, got {rate_bps}")
         if delay_s < 0:
             raise ValueError(f"delay_s must be >= 0, got {delay_s}")
+        if queue_packets <= 0:
+            raise ValueError(f"queue_packets must be positive, got {queue_packets}")
         self.sim = sim
         self.src = src
         self.dst = dst
         self.rate_bps = float(rate_bps)
         self.delay_s = float(delay_s)
-        self.queue: Store = Store(sim, capacity=queue_packets)
+        self.queue_packets = queue_packets
         self.loss_model = loss_model
         #: administrative state; a downed link drops everything offered
         #: to it and everything still propagating when it went down
         self.up = True
-        self.stats = LinkStats()
+        self.busy_until = 0.0
+        #: (end, serialization, bytes) of accepted packets not yet
+        #: credited, in service order
+        self._unfinished: deque[tuple[float, float, int]] = deque()
+        self._stats = LinkStats()
         self.on_arrival: Callable[[Packet], None] | None = None
         self.on_drop: Callable[[Packet, str], None] | None = None
-        sim.process(self._transmitter(), name=f"link:{src}->{dst}")
 
     @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
 
+    @property
+    def stats(self) -> LinkStats:
+        self._credit(self.sim._now)
+        return self._stats
+
     def serialization_delay(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.rate_bps
+
+    def _credit(self, now: float) -> None:
+        """Count every packet whose service has ended by ``now``."""
+        unfinished = self._unfinished
+        st = self._stats
+        while unfinished and unfinished[0][0] <= now:
+            _, ser, size = unfinished.popleft()
+            st.busy_time += ser
+            st.tx_packets += 1
+            st.tx_bytes += size
 
     # -- fault injection ---------------------------------------------------
     def set_up(self, up: bool) -> None:
@@ -95,7 +124,7 @@ class Link:
                                   state="up" if up else "down")
 
     def _drop_down(self, pkt: Packet) -> None:
-        self.stats.fault_drops += 1
+        self._stats.fault_drops += 1
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
                                   reason="down", seq=pkt.seq,
@@ -110,37 +139,37 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        try:
-            self.queue.put_nowait(pkt)
-            if self.sim._tracing_detail:
-                self.sim._tracer.emit(self.sim.now, "link.enqueue",
-                                      self.name, depth=self.queue.level,
-                                      flow=pkt.flow_id, seq=pkt.seq,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
-            return True
-        except QueueFullError:
-            self.stats.queue_drops += 1
-            if self.sim._tracing:
-                self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
-                                      reason="queue", seq=pkt.seq,
-                                      flow=pkt.flow_id,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
+        sim = self.sim
+        now = sim._now
+        unfinished = self._unfinished
+        if unfinished and unfinished[0][0] <= now:
+            self._credit(now)
+        if len(unfinished) > self.queue_packets:
+            self._stats.queue_drops += 1
+            if sim._tracing:
+                sim._tracer.emit(now, "link.drop", self.name,
+                                 reason="queue", seq=pkt.seq,
+                                 flow=pkt.flow_id, session=pkt.session,
+                                 frame=pkt.frame_seq)
             if self.on_drop is not None:
                 self.on_drop(pkt, "drop-queue")
             return False
+        ser = self.serialization_delay(pkt.size_bytes)
+        busy_until = self.busy_until
+        end = (now if now > busy_until else busy_until) + ser
+        self.busy_until = end
+        unfinished.append((end, ser, pkt.size_bytes))
+        sim.call_at(end + self.delay_s, self._arrive, pkt)
+        if sim._tracing_detail:
+            sim._tracer.emit(now, "link.enqueue", self.name,
+                             depth=len(unfinished) - 1,
+                             flow=pkt.flow_id, seq=pkt.seq,
+                             session=pkt.session, frame=pkt.frame_seq)
+        return True
 
-    # -- transmitter process ----------------------------------------------
-    def _transmitter(self):
-        while True:
-            pkt: Packet = yield self.queue.get()
-            ser = self.serialization_delay(pkt.size_bytes)
-            yield self.sim.timeout(ser)
-            self.stats.busy_time += ser
-            self.stats.tx_packets += 1
-            self.stats.tx_bytes += pkt.size_bytes
-            self.sim.call_later(self.delay_s, lambda p=pkt: self._propagated(p))
+    # -- egress ------------------------------------------------------------
+    def _arrive(self, event: Event) -> None:
+        self._propagated(event._value)
 
     def _propagated(self, pkt: Packet) -> None:
         if not self.up:
@@ -152,7 +181,7 @@ class Link:
             if self.sim._tracing_detail
             else self.loss_model.is_lost()
         ):
-            self.stats.loss_drops += 1
+            self._stats.loss_drops += 1
             if self.sim._tracing:
                 self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
                                       reason="loss", seq=pkt.seq,
@@ -165,7 +194,3 @@ class Link:
         if self.on_arrival is not None:
             pkt.hops += 1
             self.on_arrival(pkt)
-
-    def sample_occupancy(self) -> None:
-        """Record (now, queue length) for occupancy-trace experiments."""
-        self.stats.occupancy_samples.append((self.sim.now, self.queue.level))

@@ -1,8 +1,9 @@
 """Packets and the protocol tap (packet log).
 
-The tap records every packet the network delivers, keyed by protocol
+The tap counts every packet the network delivers, keyed by protocol
 label — the raw evidence from which the Figure 5 (protocol stack)
-reproduction derives which stream type traversed which stack.
+reproduction derives which stream type traversed which stack. Per-packet
+records are opt-in (``PacketTap.enabled_detail``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,15 @@ class TapRecord:
 
 
 class PacketTap:
-    """Accumulates per-packet records and per-protocol aggregates."""
+    """Accumulates per-protocol aggregates and, opt-in, per-packet records.
+
+    ``bytes_by_protocol``, ``count_by_protocol`` and
+    ``discards_by_node`` always count. One :class:`TapRecord` per
+    delivery or drop is kept only when ``enabled_detail`` is set: the
+    list grows with every packet, so it is off by default and
+    ``records``, :meth:`delivered`, :meth:`drops` and
+    :meth:`protocols_for_flow` see nothing until a caller opts in.
+    """
 
     def __init__(self) -> None:
         self.records: list[TapRecord] = []
@@ -71,7 +80,7 @@ class PacketTap:
         self.count_by_protocol: dict[str, int] = {}
         #: packets delivered to a node but addressed to an unbound port
         self.discards_by_node: dict[str, int] = {}
-        self.enabled_detail = True
+        self.enabled_detail = False
 
     def record(self, time: float, event: str, pkt: Packet) -> None:
         if self.enabled_detail:

@@ -317,3 +317,20 @@ def test_deterministic_replay_of_interleaving():
         return trace
 
     assert run_once() == run_once()
+
+
+def test_call_at_fires_one_plain_event_at_the_absolute_instant():
+    sim = Simulator()
+    got = []
+
+    def handler(ev):
+        got.append((sim.now, ev.value))
+
+    sim.call_later(0.5, lambda: got.append((sim.now, "later")))
+    ev = sim.call_at(0.5, handler, "at")
+    assert type(ev).__name__ == "Event" and ev.callbacks == [handler]
+    sim.call_at(0.1 + 0.2, handler, "sum")  # kept as given, not re-derived
+    sim.run()
+    assert got == [(0.1 + 0.2, "sum"), (0.5, "later"), (0.5, "at")]
+    with pytest.raises(ValueError):
+        sim.call_at(0.4, handler)

@@ -69,6 +69,7 @@ def test_routing_prefers_low_delay_path():
 
 def test_queue_overflow_drops_and_taps():
     sim, net = simple_net(rate=100_000, delay=0.0, queue=2)
+    net.tap.enabled_detail = True
     got = []
     net.node("b").bind(1, lambda p: got.append(p.seq))
     # Inject 10 packets back-to-back at t=0; queue holds 2.
@@ -106,6 +107,7 @@ def test_loopback_delivery():
 
 def test_unbound_port_discard_is_counted():
     sim, net = simple_net()
+    net.tap.enabled_detail = True
     net.send(Packet(src="a", dst="b", size_bytes=100, protocol="UDP",
                     flow_id="f", dst_port=404))
     sim.run()
@@ -224,6 +226,7 @@ def test_gilbert_elliott_loss_on_link():
 
 def test_tap_aggregates_by_protocol():
     sim, net = simple_net()
+    net.tap.enabled_detail = True
     net.node("b").bind(1, lambda p: None)
     net.send(Packet(src="a", dst="b", size_bytes=100, protocol="RTP",
                     flow_id="f1", dst_port=1))
@@ -232,6 +235,31 @@ def test_tap_aggregates_by_protocol():
     sim.run()
     assert net.tap.bytes_by_protocol == {"RTP": 100, "TCP": 200}
     assert net.tap.protocols_for_flow("f1") == {"RTP"}
+
+
+def test_tap_counts_are_exact_without_records():
+    """Records are off by default; aggregates and discards still count."""
+    def run(detail):
+        sim, net = simple_net(rate=100_000, delay=0.0, queue=2)
+        net.tap.enabled_detail = detail
+        net.node("b").bind(1, lambda p: None)
+        # In service: the unbound-port TCP packet; 2 RTP wait, 8 drop.
+        net.send(Packet(src="a", dst="b", size_bytes=200, protocol="TCP",
+                        flow_id="ctl", dst_port=404))
+        for i in range(10):
+            net.send(Packet(src="a", dst="b", size_bytes=1000,
+                            protocol="RTP", flow_id="f", dst_port=1, seq=i))
+        sim.run()
+        return net
+
+    off, on = run(False), run(True)
+    assert off.tap.records == [] and off.tap.drops() == []
+    assert len(on.tap.records) == 12
+    for net in (off, on):
+        assert net.tap.bytes_by_protocol == {"TCP": 200, "RTP": 2000}
+        assert net.tap.count_by_protocol == {"TCP": 1, "RTP": 2}
+        assert net.tap.discards_by_node == {"b": 1}
+        assert net.link("a", "b").stats.queue_drops == 8
 
 
 def test_duplicate_node_and_link_rejected():

@@ -156,7 +156,8 @@ def _record_trace(out_path: str, chrome_path: str | None,
     eng.add_server("srv1", documents={"doc": (av_markup(5.0, True), "demo")})
     pop = eng.orchestrator.run_population(n_clients, "srv1", "doc",
                                           stagger_s=0.5)
-    n = write_jsonl(tracer.events, out_path)
+    n = write_jsonl(tracer.events, out_path,
+                    dropped_events=tracer.dropped_events)
     report.value("sessions_completed", len(pop.completed()))
     report.value("jsonl_events", n)
     report.value("jsonl_path", out_path)
@@ -169,7 +170,12 @@ def _record_trace(out_path: str, chrome_path: str | None,
 
 def _trace(args: list[str], report: Reporter) -> int:
     """``trace`` subcommand: summarize or record structured traces."""
-    from repro.obs import read_jsonl, summarize_trace, write_chrome_trace
+    from repro.obs import (
+        read_jsonl,
+        read_jsonl_header,
+        summarize_trace,
+        write_chrome_trace,
+    )
 
     record_to: str | None = None
     chrome_to: str | None = None
@@ -204,7 +210,10 @@ def _trace(args: list[str], report: Reporter) -> int:
         return 2
     for path in inputs:
         events = read_jsonl(path)
-        for section in summarize_trace(events, top=top):
+        dropped = int(read_jsonl_header(path).get("dropped_events", 0))
+        report.value("dropped_events", dropped)
+        for section in summarize_trace(events, top=top,
+                                       dropped_events=dropped):
             report.table(section["title"], section["headers"],
                          section["rows"])
         if chrome_to:

@@ -53,6 +53,9 @@ class PlayoutEventLog:
         self._session = ""
         self._tracing = False
         self._tracing_detail = False
+        #: the session's in-band QoE frame ledger
+        #: (:class:`repro.obs.qoe.SessionFrames`), or None
+        self.frames = None
 
     def set_tracer(self, tracer, session: str = "") -> None:
         """Forward playout events to a structured tracer.
@@ -86,6 +89,11 @@ class PlayoutEventLog:
             PlayoutEvent(time=time, stream_id=stream_id, kind=kind,
                          media_time_s=media_time_s, grade=grade)
         )
+        if frame_seq is not None and self.frames is not None:
+            if kind is PlayoutEventKind.FRAME:
+                self.frames.played(stream_id, frame_seq, time)
+            elif kind is PlayoutEventKind.DROP:
+                self.frames.dropped(stream_id, frame_seq)
         if self._tracing:
             # Per-frame events are detail-tier: skipped for
             # control-plane tracers (flight recorder) and for legacy

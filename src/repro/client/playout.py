@@ -126,6 +126,11 @@ class PlayoutProcess:
             self.skew.report_position(self.entry.stream_id, self.played_s,
                                       active=active)
 
+    def _report_finished(self) -> None:
+        self._report_position(active=False)
+        if self.skew is not None:
+            self.skew.report_finished(self.entry.stream_id)
+
     def _pop_fresh(self, next_ticks: int) -> Frame | None:
         """Pop the next non-stale frame; stale frames are discarded."""
         while True:
@@ -231,9 +236,15 @@ class PlayoutProcess:
                     # position on missing data — skip the gap so the
                     # skew stays bounded (late frames become stale and
                     # are dropped, the paper's "drop frames" action).
-                    skew = self.skew.skew_of(self.entry.stream_id)
-                    if skew is not None and skew < -self.skew.threshold_s:
+                    # Once the master has finished there is nothing to
+                    # wait for: a lost tail is skipped, not stalled on.
+                    if self.skew.master_finished:
                         advance = True
+                    else:
+                        skew = self.skew.skew_of(self.entry.stream_id)
+                        if (skew is not None
+                                and skew < -self.skew.threshold_s):
+                            advance = True
                 if advance:
                     self.played_s = min(duration,
                                         self.played_s + self.interval_s)
@@ -251,7 +262,7 @@ class PlayoutProcess:
             self._report_position()
             yield sim.timeout(frame_time)
         self._record(PlayoutEventKind.STOP)
-        self._report_position(active=False)
+        self._report_finished()
         if not self.finished.triggered:
             self.finished.succeed(self.played_s)
 
@@ -260,6 +271,6 @@ class PlayoutProcess:
         finished so the presentation as a whole can still complete."""
         if self.process.is_alive:
             self.process.interrupt(cause)
-        self._report_position(active=False)
+        self._report_finished()
         if not self.finished.triggered:
             self.finished.succeed(self.played_s)

@@ -92,6 +92,9 @@ class PresentationScheduler:
         self._interrupted = False
         #: session id stamped onto buffer push/drop trace events
         self.trace_session = ""
+        #: the session's in-band QoE frame ledger (set by the
+        #: composition; None when nobody scores this presentation)
+        self.frames = None
         self.started = False
         self.presentation_start: float | None = None
         self._start_called_at: float | None = None
@@ -154,10 +157,13 @@ class PresentationScheduler:
                                      session=self.trace_session,
                                      frame=frame.seq,
                                      occupancy_s=buf.occupancy_s)
-            elif sim._tracing:
-                sim._tracer.emit(sim.now, "buffer.drop", stream_id,
-                                 session=self.trace_session,
-                                 frame=frame.seq, reason="overflow")
+            else:
+                if self.frames is not None:
+                    self.frames.dropped(stream_id, frame.seq)
+                if sim._tracing:
+                    sim._tracer.emit(sim.now, "buffer.drop", stream_id,
+                                     session=self.trace_session,
+                                     frame=frame.seq, reason="overflow")
 
         return sink
 

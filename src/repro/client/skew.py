@@ -43,6 +43,9 @@ class SkewControllerStats:
     duplicates: int = 0
     drops: int = 0
     decisions: int = 0
+    #: drop or duplicate decisions (one per ``skew.correct`` event);
+    #: the in-band QoE "skew violations"
+    corrections: int = 0
 
 
 class SkewController:
@@ -69,6 +72,7 @@ class SkewController:
         self.stats = SkewControllerStats()
         self._positions: dict[str, float] = {}
         self._active: dict[str, bool] = {}
+        self._finished: set[str] = set()
         self._tracer = None
         self._session = ""
         self._tracing = False
@@ -87,6 +91,16 @@ class SkewController:
         """Streams report their presented media position each tick."""
         self._positions[stream_id] = media_time_s
         self._active[stream_id] = active
+
+    def report_finished(self, stream_id: str) -> None:
+        """A stream's playout ended for good (played out or cancelled)."""
+        self._finished.add(stream_id)
+
+    @property
+    def master_finished(self) -> bool:
+        """True once the master's playout has ended (played out or
+        cancelled): it will never move again."""
+        return self.master_id in self._finished
 
     def master_position(self) -> float | None:
         if not self._active.get(self.master_id, False):
@@ -120,6 +134,7 @@ class SkewController:
             return SkewDecision("play")
         if skew > self.threshold_s:
             self.stats.duplicates += 1
+            self.stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="duplicate",
@@ -129,6 +144,7 @@ class SkewController:
             behind_frames = int(-skew / frame_interval_s)
             n = max(1, min(self.max_drops_per_tick, behind_frames))
             self.stats.drops += n
+            self.stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="drop",

@@ -556,6 +556,16 @@ class ClientComposition:
         for receiver in self.receivers.values():
             receiver.session = session
 
+    def track_frames(self, session: str, frames) -> None:
+        """Feed this presentation's frame lifecycle to ``session``'s
+        in-band QoE ledger (:class:`repro.obs.qoe.SessionFrames`):
+        buffer overflow drops, playout plays and drops, and the
+        receivers' reassembly outcomes."""
+        self.log.frames = frames
+        self.scheduler.frames = frames
+        for receiver in self.receivers.values():
+            receiver.session = session
+
     def attach_feedback(self, server_rtcp_port: int,
                         server_node: str) -> None:
         """Start RTCP receiver reports toward the server's sink."""

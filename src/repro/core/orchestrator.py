@@ -66,8 +66,9 @@ class PopulationResult:
     """Outcome of a multi-client population run."""
 
     outcomes: list[SessionOutcome] = field(default_factory=list)
-    #: run-wide metrics rollup (sum of per-session event counts plus
-    #: any run-level instruments); filled when the engine is traced
+    #: run-wide metrics rollup (sum of per-session trace-event counts
+    #: plus any run-level instruments); filled only when the engine is
+    #: traced — QoE lives on the outcomes either way
     metrics: dict[str, Any] = field(default_factory=dict)
     #: fleet-level ServiceReport dict, reduced from the engine's
     #: telemetry sampler (empty when none is attached)
@@ -84,10 +85,8 @@ class PopulationResult:
         )
 
     def qoe_summary(self) -> dict[str, Any]:
-        """Population QoE rollup (score/startup/latency percentiles).
-
-        Empty when the run was untraced (sessions carry no QoE dicts).
-        """
+        """Population QoE rollup (score/startup/latency percentiles)
+        over the sessions' in-band QoE dicts."""
         from repro.obs.qoe import qoe_summary_of_dicts
 
         return qoe_summary_of_dicts(o.result.qoe for o in self.outcomes)
@@ -166,22 +165,42 @@ class SessionOrchestrator:
                         subscribe_first: bool, start_delay_s: float = 0.0,
                         client_node: str | None = None):
         """connect → request → view → disconnect, leaving artefacts in
-        ``result_box``."""
+        ``result_box``.
+
+        The box also collects the session's in-band QoE sources: the
+        span edges (``begin_s``/``end_s``), the frame ledger the data
+        path fills (``frames``, registered on the network under the
+        session id), the presentation (``presentation``) and the
+        server QoS manager's live decision list (``grading``).
+        """
+        from repro.obs.qoe import SessionFrames
         from repro.server.accounts import SubscriptionForm
 
         cfg = self.engine.config
+        sim = self.sim
         user_id = client.user_id
         result_box["_client"] = client
         if start_delay_s > 0:
-            yield self.sim.timeout(start_delay_s)
-        tracing = self.sim._tracing
+            yield sim.timeout(start_delay_s)
+        tracing = sim._tracing
         session_id = handler.session_id
         node = client_node if client_node is not None else self.engine.CLIENT
+        result_box["begin_s"] = sim.now
+        frames = result_box["frames"] = SessionFrames()
+        self.engine.network.session_frames[session_id] = frames
         if tracing:
-            self.sim._tracer.span_begin(
-                self.sim.now, "session", session_id, session=session_id,
+            sim._tracer.span_begin(
+                sim.now, "session", session_id, session=session_id,
                 node=node, document=document, user=user_id,
             )
+
+        def end(outcome: str, **extra: Any) -> None:
+            result_box["end_s"] = sim.now
+            if tracing:
+                sim._tracer.span_end(sim.now, "session", session_id,
+                                     session=session_id, outcome=outcome,
+                                     **extra)
+
         resp = yield from client.connect()
         if resp.msg_type == "subscribe-required" and subscribe_first:
             form = SubscriptionForm(
@@ -191,36 +210,26 @@ class SessionOrchestrator:
             resp = yield from client.subscribe(form, contract=contract)
         if resp.msg_type != "connect-ok":
             result_box["error"] = resp.body.get("reason", "rejected")
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="rejected",
-                )
+            end("rejected")
             return
         resp = yield from client.request_document(document)
         if resp.msg_type != "scenario":
             result_box["error"] = resp.body.get("reason", "no scenario")
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="no-scenario",
-                )
+            end("no-scenario")
             return
         comp = self.engine.build_client_composition(
             resp.body["markup"], server, client_node=client_node
         )
+        result_box["presentation"] = comp
+        comp.track_frames(session_id, frames)
         if tracing:
-            comp.set_tracer(self.sim._tracer, session_id)
+            comp.set_tracer(sim._tracer, session_id)
         ready = yield from client.send_ready(
             comp.rtp_ports, comp.discrete_ports, lead_s=cfg.flow_lead_s
         )
         if ready.msg_type != "streams-started":
             result_box["error"] = ready.body.get("reason", ready.msg_type)
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="no-streams",
-                )
+            end("no-streams")
             return
         comp.attach_feedback(ready.body["rtcp_port"], server.node_id)
         done = comp.start()
@@ -231,6 +240,8 @@ class SessionOrchestrator:
         if handler.session is not None:
             mgr = handler.session.qos_manager
             result_box["decisions"] = list(mgr.decisions)
+            # live: a report still in flight may grade once more
+            result_box["grading"] = mgr.decisions
             result_box["trajectories"] = {
                 sid: conv.grade_trajectory()
                 for sid, conv in mgr.converters().items()
@@ -240,15 +251,54 @@ class SessionOrchestrator:
         comp.close()  # return the client's media ports to its node
         result_box["comp"] = comp
         result_box["charge"] = charge
-        if tracing:
-            self.sim._tracer.span_end(
-                self.sim.now, "session", session_id, session=session_id,
-                outcome="completed", charge=charge,
-            )
+        end("completed", charge=charge)
 
-    @staticmethod
-    def _result_from_box(box: dict[str, Any],
-                         document: str) -> SessionResult:
+    def _session_qoe(self, box: dict[str, Any],
+                     session_id: str) -> dict[str, Any]:
+        """The session's in-band QoE dict; retires its frame ledger.
+
+        Reads only state the run keeps anyway (see
+        :meth:`_session_script`) — identical, field for field, to the
+        trace-replay view of a full recording of the same run (see
+        :mod:`repro.obs.qoe`). A session the run left open (horizon
+        reached) is closed here, at the collection instant, with
+        outcome ``"unfinished"``: both views then measure it to the
+        same end.
+        """
+        from repro.client.metrics import PlayoutEventKind
+        from repro.obs.qoe import score_inband
+
+        sim = self.sim
+        if "begin_s" in box and "end_s" not in box:
+            box["end_s"] = sim.now
+            if sim._tracing:
+                sim._tracer.span_end(sim.now, "session", session_id,
+                                     session=session_id,
+                                     outcome="unfinished")
+        self.engine.network.session_frames.pop(session_id, None)
+        first_play_s = None
+        gap_times: list[float] = []
+        skew_violations = 0
+        comp = box.get("presentation")
+        if comp is not None:
+            events = comp.log.events
+            starts = (PlayoutEventKind.START, PlayoutEventKind.FRAME)
+            first_play_s = next(
+                (e.time for e in events if e.kind in starts), None)
+            gap_times = [e.time for e in events
+                         if e.kind is PlayoutEventKind.GAP]
+            skew_violations = sum(
+                ctrl.stats.corrections
+                for ctrl in comp.scheduler.skew_controllers.values())
+        transitions = [(d.time, d.old_grade, d.new_grade)
+                       for d in box.get("grading", ())]
+        return score_inband(
+            session_id, box.get("begin_s"), box.get("end_s"), first_play_s,
+            gap_times, skew_violations, transitions, box.get("frames"),
+        ).to_dict()
+
+    def _result_from_box(self, box: dict[str, Any], document: str,
+                         session_id: str) -> SessionResult:
         if "comp" in box:
             comp = box["comp"]
             result = comp.collect_result(
@@ -266,6 +316,7 @@ class SessionOrchestrator:
         if client is not None:
             result.retries = client.retries
             result.recoveries = client.recoveries
+        result.qoe = self._session_qoe(box, session_id)
         return result
 
     # -- single scripted session --------------------------------------------
@@ -295,15 +346,20 @@ class SessionOrchestrator:
         guard = self.sim.any_of([proc, self.sim.timeout(horizon_s)])
         self.sim.run(until=guard)
         if not proc.triggered:
-            return SessionResult(document=document, completed=False,
-                                 startup_latency_s=None, charge=0.0,
-                                 events=["horizon reached"])
-        self.sim.run(until=self.sim.now + 1.0)
-        if "error" in result_box:
-            return SessionResult(document=document, completed=False,
-                                 startup_latency_s=None, charge=0.0,
-                                 events=[result_box["error"]])
-        return self._result_from_box(result_box, document)
+            result = SessionResult(document=document, completed=False,
+                                   startup_latency_s=None, charge=0.0,
+                                   events=["horizon reached"])
+        else:
+            self.sim.run(until=self.sim.now + 1.0)
+            if "error" in result_box:
+                result = SessionResult(document=document, completed=False,
+                                       startup_latency_s=None, charge=0.0,
+                                       events=[result_box["error"]])
+            else:
+                return self._result_from_box(result_box, document,
+                                             handler.session_id)
+        result.qoe = self._session_qoe(result_box, handler.session_id)
+        return result
 
     # -- concurrent viewers on shared or separate hosts ---------------------
     def run_concurrent_sessions(
@@ -388,18 +444,13 @@ class SessionOrchestrator:
         outcomes: list[SessionOutcome] = []
         snapshot = tracing and hasattr(tracer, "session_snapshot")
         for spec, handler, box in entries:
-            result = self._result_from_box(box, spec.document)
+            result = self._result_from_box(box, spec.document,
+                                           handler.session_id)
             if snapshot:
                 result.metrics = tracer.session_snapshot(handler.session_id)
-                begins = [e.time for e in tracer.select(
-                    kind="session", session=handler.session_id)
-                    if e.phase == "B"]
-                ends = [e.time for e in tracer.select(
-                    kind="session", session=handler.session_id)
-                    if e.phase == "E"]
-                if begins and ends:
+                if "begin_s" in box and "end_s" in box:
                     tracer.metrics.histogram("session_duration_s").observe(
-                        max(ends) - min(begins)
+                        box["end_s"] - box["begin_s"]
                     )
             outcomes.append(SessionOutcome(
                 session_id=handler.session_id,
@@ -416,25 +467,6 @@ class SessionOrchestrator:
             tracer.span_end(self.sim.now, "workload",
                             f"workload[{len(specs)}]",
                             completed=sum(o.completed for o in outcomes))
-        if snapshot and getattr(tracer, "events", None):
-            # One correlation pass over the trace serves every session:
-            # frame spans -> per-session QoE summaries on the results.
-            # Events and spans are bucketed by session once, so each
-            # session scores its own share, not the whole trace.
-            from repro.obs.lifecycle import correlate_frames
-            from repro.obs.qoe import score_session
-
-            events: dict[Any, list] = {}
-            for e in tracer.events:
-                events.setdefault(e.session, []).append(e)
-            spans: dict[Any, dict] = {}
-            for key, span in correlate_frames(tracer.events).items():
-                spans.setdefault(span.session, {})[key] = span
-            for outcome in outcomes:
-                sess = outcome.session_id
-                outcome.result.qoe = score_session(
-                    events.get(sess, []), sess, spans=spans.get(sess, {}),
-                ).to_dict()
         return outcomes
 
     # -- multi-client populations --------------------------------------------

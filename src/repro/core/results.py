@@ -53,11 +53,13 @@ class SessionResult:
     #: unbound port — nonzero means a misrouted or late flow
     rx_discarded: int = 0
     #: per-session trace-event counts ({kind: count}) when the engine
-    #: ran with a recording tracer; empty otherwise
+    #: ran with a recording tracer; empty otherwise (QoE does not
+    #: depend on it)
     metrics: dict[str, int] = field(default_factory=dict)
     #: per-session QoE summary (score, startup, stalls, frame
-    #: accounting, latency percentiles — see :mod:`repro.obs.qoe`)
-    #: when the engine ran with a recording tracer; empty otherwise
+    #: accounting, latency percentiles — see :mod:`repro.obs.qoe`),
+    #: computed in band by the orchestrator for every session it
+    #: runs, traced or not; empty only for results built elsewhere
     qoe: dict[str, Any] = field(default_factory=dict)
     #: control RPC retransmissions the client had to issue (nonzero
     #: only under a fault plan with a RetryPolicy installed)

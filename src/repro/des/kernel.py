@@ -321,6 +321,10 @@ class Simulator:
         self._tracer = None
         self._tracing = False
         self._tracing_detail = False
+        #: kernel events fired by :meth:`run` (counted in its loop, not
+        #: in :meth:`step`, so a profiler that replaces ``step`` still
+        #: counts)
+        self.events_processed = 0
 
     @property
     def now(self) -> float:
@@ -433,6 +437,7 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
+        fired = 0
         try:
             if isinstance(until, Event):
                 while not until.triggered or not until.processed:
@@ -440,6 +445,7 @@ class Simulator:
                         raise RuntimeError(
                             "event queue drained before `until` event triggered"
                         )
+                    fired += 1
                     self.step()
                 if not until.ok:
                     raise until.value
@@ -449,9 +455,11 @@ class Simulator:
                 raise ValueError(
                     f"deadline {deadline} is in the past (now={self._now})")
             while self._heap and self._heap[0][0] <= deadline:
+                fired += 1
                 self.step()
             if until is not None:
                 self._now = max(self._now, deadline)
             return None
         finally:
+            self.events_processed += fired
             self._running = False

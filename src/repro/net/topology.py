@@ -12,7 +12,7 @@ addressed to it.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import networkx as nx
 
@@ -81,6 +81,10 @@ class Network:
         self.links: dict[tuple[str, str], Link] = {}
         self.tap = PacketTap()
         self._next_hop: dict[tuple[str, str], str] | None = None
+        #: in-band QoE frame ledgers (:class:`repro.obs.qoe.SessionFrames`)
+        #: by session id; the data path updates the ledger of a
+        #: packet's or stream's session when one is registered
+        self.session_frames: dict[str, Any] = {}
 
     # -- construction ----------------------------------------------------
     def add_node(self, node_id: str) -> Node:
@@ -204,6 +208,10 @@ class Network:
 
     def _on_link_drop(self, pkt: Packet, kind: str) -> None:
         self.tap.record(self.sim.now, kind, pkt)
+        if pkt.frame_seq >= 0 and pkt.session:
+            frames = self.session_frames.get(pkt.session)
+            if frames is not None:
+                frames.packet_dropped(pkt.flow_id, pkt.frame_seq)
 
     def _wire(self, link: Link) -> None:
         """Route packets leaving this link: deliver locally or forward."""

@@ -23,6 +23,7 @@ from repro.obs.export import (
     TRACE_SCHEMA_VERSION,
     read_chrome_trace,
     read_jsonl,
+    read_jsonl_header,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -133,6 +134,7 @@ __all__ = [
     "qoe_summary",
     "read_chrome_trace",
     "read_jsonl",
+    "read_jsonl_header",
     "render_markdown_report",
     "score_session",
     "score_sessions",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.ioutil import atomic_open
 from repro.obs.tracer import TraceEvent
@@ -31,6 +31,7 @@ __all__ = [
     "event_to_dict",
     "read_chrome_trace",
     "read_jsonl",
+    "read_jsonl_header",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
@@ -91,14 +92,23 @@ def event_from_dict(data: dict) -> TraceEvent:
     )
 
 
-def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> int:
+def write_jsonl(events: Iterable[TraceEvent], path: str | Path,
+                dropped_events: int = 0) -> int:
     """Write one JSON object per line after a schema header line;
-    returns the number of *events* written (the header is free)."""
+    returns the number of *events* written (the header is free).
+
+    ``dropped_events`` — how many events the recorder shed before
+    these (a capped :class:`RecordingTracer` or a flight recorder's
+    ring) — is stamped in the header when nonzero, so a partial
+    trace says so wherever it is read.
+    """
+    header: dict[str, object] = {"schema": TRACE_SCHEMA,
+                                 "version": TRACE_SCHEMA_VERSION}
+    if dropped_events:
+        header["dropped_events"] = dropped_events
     n = 0
     with atomic_open(path) as fh:
-        fh.write(json.dumps(
-            {"schema": TRACE_SCHEMA, "version": TRACE_SCHEMA_VERSION},
-            separators=(",", ":")) + "\n")
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for event in events:
             fh.write(json.dumps(event_to_dict(event),
                                 separators=(",", ":")) + "\n")
@@ -128,6 +138,17 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
                     continue
             events.append(event_from_dict(data))
     return events
+
+
+def read_jsonl_header(path: str | Path) -> dict[str, Any]:
+    """The schema header of a JSONL trace (``{}`` for legacy files)."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                header: dict[str, Any] = json.loads(line)
+                return header if "schema" in header else {}
+    return {}
 
 
 def _track_of(event: TraceEvent) -> str:

@@ -131,7 +131,7 @@ class FlightRecorder(Tracer):
         if target is None:
             raise ValueError("no dump path configured")
         events = self.window(window_s)
-        write_jsonl(events, target)
+        write_jsonl(events, target, dropped_events=self.dropped_events)
         self.last_dump = {
             "path": str(target),
             "trigger": trigger,

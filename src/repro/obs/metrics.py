@@ -11,6 +11,7 @@ without dragging the registry along.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -94,12 +95,15 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        # first bucket with value <= bound; NaN and values above the
+        # last bound land in none
+        i = bisect_left(self.bounds, value)
+        if i < len(self.bounds) and value <= self.bounds[i]:
+            self.bucket_counts[i] += 1
 
     @property
     def mean(self) -> float:

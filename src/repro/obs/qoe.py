@@ -1,11 +1,26 @@
-"""Per-session Quality-of-Experience scoring from trace events.
+"""Per-session Quality-of-Experience scoring.
 
-Turns the frame spans of :mod:`repro.obs.lifecycle` plus the
-skew-correction and grading events into one :class:`SessionQoE` per
-session: startup delay, stall count/duration, skew violations,
-grade-degradation time, frame delivery accounting, end-to-end latency
-percentiles (streaming log-bucketed histograms — no sample list is
-retained) and a composite 0–100 score.
+One :class:`SessionQoE` per session: startup delay, stall
+count/duration, skew violations, grade-degradation time, frame
+delivery accounting, end-to-end latency percentiles (streaming
+log-bucketed histograms — no sample list is retained) and a composite
+0–100 score.
+
+Two sources feed the same scorer:
+
+* **in band** — :func:`score_inband`, from state a run keeps anyway:
+  the session span the orchestrator records, the playout event log,
+  the skew controllers' correction counts, the server QoS manager's
+  grading decisions and a :class:`SessionFrames` ledger that the data
+  path (RTP sender and receiver, link drops, client buffers and
+  playout) updates once per frame. This is how every
+  :class:`~repro.core.results.SessionResult` gets its ``qoe``; no
+  tracer is needed.
+* **trace replay** — :func:`score_session` / :func:`score_sessions`,
+  from a recorded trace via the frame spans of
+  :mod:`repro.obs.lifecycle`. It is the debugging view over a
+  recording and the oracle the in-band path is tested against: both
+  must serialize byte-identically for every session.
 
 The score is a diagnostic ranking, not a perceptual model: it starts
 at 100 and subtracts bounded penalties for startup delay, stalls,
@@ -22,14 +37,18 @@ from repro.obs.lifecycle import FrameSpan, correlate_frames
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.tracer import TraceEvent
 
-__all__ = ["SessionQoE", "score_session", "score_sessions",
-           "qoe_summary", "qoe_summary_of_dicts"]
+__all__ = ["SessionQoE", "SessionFrames", "score_inband",
+           "score_session", "score_sessions", "qoe_summary",
+           "qoe_summary_of_dicts"]
 
 #: latency histogram bounds shared by all QoE scorers
 LATENCY_BOUNDS = log_buckets(1e-4, 100.0, per_decade=9)
 
 #: two gap events closer than this belong to the same stall
 STALL_MERGE_S = 0.5
+
+#: a grade transition: (time, old grade, new grade)
+Transition = tuple[float, int, int]
 
 
 @dataclass(slots=True)
@@ -103,19 +122,18 @@ def _stalls(gap_times: list[float]) -> tuple[int, float]:
     return count, total
 
 
-def _degraded_time(grade_events: list[TraceEvent], end_s: float) -> float:
+def _degraded_time(transitions: list[Transition], end_s: float) -> float:
     """Seconds spent above (worse than) the session's initial grade."""
-    if not grade_events:
+    if not transitions:
         return 0.0
-    baseline = grade_events[0].args.get("old", 0)
+    baseline = transitions[0][1]
     degraded_since: float | None = None
     total = 0.0
-    for e in sorted(grade_events, key=lambda e: e.time):
-        grade = e.args.get("new", baseline)
+    for time, _old, grade in sorted(transitions, key=lambda t: t[0]):
         if grade > baseline and degraded_since is None:
-            degraded_since = e.time
+            degraded_since = time
         elif grade <= baseline and degraded_since is not None:
-            total += e.time - degraded_since
+            total += time - degraded_since
             degraded_since = None
     if degraded_since is not None:
         total += max(0.0, end_s - degraded_since)
@@ -134,6 +152,166 @@ def _composite_score(q: SessionQoE) -> float:
     penalty += min(5.0, 0.5 * q.skew_violations)
     penalty += min(15.0, 50.0 * q.degraded_time_s / duration)
     return max(0.0, 100.0 - penalty)
+
+
+#: lifecycle flags of an in-band frame record
+_REASSEMBLED, _DROPPED, _PACKET_LOST = 1, 2, 4
+
+
+class SessionFrames:
+    """One session's frames, keyed by stream and seq, in first-touch order.
+
+    The in-band counterpart of :func:`correlate_frames` for one
+    session: each update method mirrors one trace event kind (named in
+    its docstring) and costs O(1), so a frame's record ends in the
+    same terminal state as its replayed :class:`FrameSpan`, and
+    records are numbered in the order the replayed spans are created
+    (the order latencies are observed in). Records are columns — first
+    send instant, first play instant, lifecycle flags — so a frame
+    costs no object of its own.
+    """
+
+    __slots__ = ("sent_s", "played_s", "flags", "_index", "_by_media_time")
+
+    def __init__(self) -> None:
+        self.sent_s: list[float | None] = []
+        self.played_s: list[float | None] = []
+        self.flags = bytearray()
+        #: per stream: seq -> record number
+        self._index: dict[str, dict[int, int]] = {}
+        #: per stream: RTP timestamp -> record last sent with it
+        self._by_media_time: dict[str, dict[int, int]] = {}
+
+    def _record(self, stream: str, seq: int) -> int:
+        index = self._index.get(stream)
+        if index is None:
+            index = self._index[stream] = {}
+            self._by_media_time[stream] = {}
+        i = index.get(seq)
+        if i is None:
+            i = index[seq] = len(self.flags)
+            self.sent_s.append(None)
+            self.played_s.append(None)
+            self.flags.append(0)
+        return i
+
+    def sent(self, stream: str, seq: int, media_time: int,
+             now: float) -> None:
+        """``rtp.send``: the sender packetized the frame.
+
+        Sends create almost every record, so :meth:`_record` is
+        inlined here (one call less per frame).
+        """
+        index = self._index.get(stream)
+        if index is None:
+            index = self._index[stream] = {}
+            self._by_media_time[stream] = {}
+        i = index.get(seq)
+        if i is None:
+            i = index[seq] = len(self.flags)
+            self.sent_s.append(now)
+            self.played_s.append(None)
+            self.flags.append(0)
+        elif self.sent_s[i] is None:
+            self.sent_s[i] = now
+        self._by_media_time[stream][media_time] = i
+
+    def packet_dropped(self, stream: str, seq: int) -> None:
+        """``link.drop``: a link dropped one of the frame's packets."""
+        self.flags[self._record(stream, seq)] |= _PACKET_LOST
+
+    def reassembled(self, stream: str, seq: int) -> None:
+        """``rtp.frame``: the receiver completed the frame."""
+        try:  # per frame: skip the call when the record exists
+            i = self._index[stream][seq]
+        except KeyError:
+            i = self._record(stream, seq)
+        self.flags[i] |= _REASSEMBLED
+
+    def dropped(self, stream: str, seq: int) -> None:
+        """``buffer.drop`` / ``playout.drop``: the client discarded it."""
+        self.flags[self._record(stream, seq)] |= _DROPPED
+
+    def dropped_media_time(self, stream: str, media_time: int) -> None:
+        """``rtp.frame_drop``: reassembly gave up on a timestamp."""
+        i = self._by_media_time.get(stream, {}).get(media_time)
+        if i is not None:
+            self.flags[i] |= _DROPPED
+
+    def played(self, stream: str, seq: int, now: float) -> None:
+        """``playout.frame``: the frame was presented (first time wins)."""
+        try:
+            i = self._index[stream][seq]
+        except KeyError:
+            i = self._record(stream, seq)
+        if self.played_s[i] is None:
+            self.played_s[i] = now
+
+    def tally(self, qoe: SessionQoE, latency: Histogram) -> None:
+        """Count each record's terminal state into ``qoe`` (the
+        :attr:`FrameSpan.terminal` rules) and observe played latencies
+        into ``latency``, in first-touch order."""
+        played_n = dropped_n = lost_n = 0
+        observe = latency.observe
+        for sent, played, flags in zip(self.sent_s, self.played_s,
+                                       self.flags):
+            if played is not None:
+                played_n += 1
+                if sent is not None and played - sent >= 0:
+                    observe(played - sent)
+            elif flags & _DROPPED:
+                dropped_n += 1
+            elif (sent is not None and flags & _PACKET_LOST
+                  and not flags & _REASSEMBLED):
+                lost_n += 1
+        qoe.frames_sent += len(self.flags)
+        qoe.frames_played += played_n
+        qoe.frames_dropped += dropped_n
+        qoe.frames_lost += lost_n
+
+
+def _score(qoe: SessionQoE, begin_s: float, end_s: float,
+           first_play_s: float | None, gap_times: list[float],
+           transitions: list[Transition], latency: Histogram) -> SessionQoE:
+    """Finish ``qoe`` (frame accounting already tallied, played
+    latencies in ``latency``) from one session's extracted facts."""
+    qoe.duration_s = max(0.0, end_s - begin_s)
+    if first_play_s is not None:
+        qoe.startup_s = max(0.0, first_play_s - begin_s)
+    qoe.stall_count, qoe.stall_time_s = _stalls(gap_times)
+    qoe.degraded_time_s = _degraded_time(transitions, end_s)
+    qoe.latency = latency.summary()
+    qoe.score = _composite_score(qoe)
+    return qoe
+
+
+def score_inband(
+    session: str,
+    begin_s: float | None,
+    end_s: float | None,
+    first_play_s: float | None,
+    gap_times: list[float],
+    skew_violations: int,
+    transitions: list[Transition],
+    frames: SessionFrames | None,
+) -> SessionQoE:
+    """Score one session from in-band state (no trace).
+
+    ``begin_s``/``end_s`` are the session span's edges (``None`` when
+    the session never opened or never closed it), ``first_play_s``
+    the first playout START/FRAME instant, ``gap_times`` every
+    playout GAP instant, ``skew_violations`` the skew controllers'
+    correction decisions and ``transitions`` the server QoS
+    manager's grading decisions as ``(time, old, new)``.
+    """
+    begin = 0.0 if begin_s is None else begin_s
+    end = begin if end_s is None else end_s
+    qoe = SessionQoE(session=session, skew_violations=skew_violations)
+    latency = Histogram(bounds=LATENCY_BOUNDS)
+    if frames is not None:
+        frames.tally(qoe, latency)
+    return _score(qoe, begin, end, first_play_s, gap_times, transitions,
+                  latency)
 
 
 def score_session(
@@ -175,12 +353,9 @@ def score_session(
     if end_s is None:
         end_s = max((e.time for e in events if e.session == session),
                     default=begin_s)
-    qoe.duration_s = max(0.0, end_s - begin_s)
-    if first_play_s is not None:
-        qoe.startup_s = max(0.0, first_play_s - begin_s)
-    qoe.stall_count, qoe.stall_time_s = _stalls(gap_times)
-    qoe.degraded_time_s = _degraded_time(grade_events, end_s)
-
+    first_old = grade_events[0].args.get("old", 0) if grade_events else 0
+    transitions = [(e.time, e.args.get("old", 0), e.args.get("new", first_old))
+                   for e in grade_events]
     latency = Histogram(bounds=LATENCY_BOUNDS)
     for span in spans.values():
         if span.session != session:
@@ -196,9 +371,8 @@ def score_session(
             qoe.frames_dropped += 1
         elif terminal == "lost":
             qoe.frames_lost += 1
-    qoe.latency = latency.summary()
-    qoe.score = _composite_score(qoe)
-    return qoe
+    return _score(qoe, begin_s, end_s, first_play_s, gap_times, transitions,
+                  latency)
 
 
 def score_sessions(
@@ -257,8 +431,8 @@ def qoe_summary_of_dicts(
 ) -> dict[str, Any]:
     """:func:`qoe_summary` over ``SessionQoE.to_dict()`` documents.
 
-    Empty documents (untraced sessions) are skipped; the result is
-    empty when none remain.
+    Empty documents (results not built by the orchestrator) are
+    skipped; the result is empty when none remain.
     """
     qoes = []
     for doc in docs:

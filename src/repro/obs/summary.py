@@ -189,15 +189,25 @@ def _qoe_table(events: list[TraceEvent]) -> list[list]:
     return rows
 
 
-def summarize_trace(events: list[TraceEvent], top: int = 12) -> list[dict]:
+def summarize_trace(events: list[TraceEvent], top: int = 12,
+                    dropped_events: int = 0) -> list[dict]:
     """A list of table specs: {title, headers, rows} per section.
 
     The shape feeds straight into ``render_table`` (text mode) or a
     JSON report; only non-empty sections are returned, except the
     headline kind table which always appears.
+
+    ``dropped_events`` is how many events the recorder shed (a capped
+    :class:`~repro.obs.tracer.RecordingTracer`, a flight recorder's
+    ring). When nonzero the headline and the sections rebuilt from
+    frame joins — lifecycle and QoE — are stamped partial in their
+    titles: a frame whose early events were shed replays as pending
+    or half-timed.
     """
+    partial = (f" — partial: {dropped_events} events shed"
+               if dropped_events else "")
     sections = [{
-        "title": f"Top event kinds ({len(events)} events)",
+        "title": f"Top event kinds ({len(events)} events){partial}",
         "headers": ["kind", "count"],
         "rows": _kind_table(events, top),
     }]
@@ -241,7 +251,7 @@ def summarize_trace(events: list[TraceEvent], top: int = 12) -> list[dict]:
     lifecycle = _lifecycle_table(events)
     if lifecycle:
         sections.append({
-            "title": "Frame lifecycle (per-hop latency)",
+            "title": f"Frame lifecycle (per-hop latency){partial}",
             "headers": ["hop", "count", "mean_ms", "p50_ms", "p95_ms",
                         "p99_ms"],
             "rows": lifecycle,
@@ -249,7 +259,7 @@ def summarize_trace(events: list[TraceEvent], top: int = 12) -> list[dict]:
     qoe = _qoe_table(events)
     if qoe:
         sections.append({
-            "title": "Session QoE",
+            "title": f"Session QoE{partial}",
             "headers": ["session", "score", "startup_s", "stalls",
                         "stall_s", "skew", "degraded_s", "played/sent",
                         "latency_p95_ms"],

@@ -100,6 +100,10 @@ class RtpSender:
             self.packet_count += 1
             self.octet_count += frag_bytes
             sent_bytes += frag_bytes
+        frames = self.network.session_frames.get(self.session)
+        if frames is not None:
+            frames.sent(self.stream_id, frame.seq, frame.media_time,
+                        self.sim._now)
         if self.sim._tracing_detail:
             self.sim._tracer.emit(self.sim.now, "rtp.send", self.stream_id,
                                   session=self.session, frame=frame.seq,
@@ -167,7 +171,8 @@ class RtpReceiver:
         self.clock_rate = clock_rate
         self.stream_id = stream_id
         self.on_frame = on_frame
-        #: session id for tracing (wired by the client composition)
+        #: session id for tracing and in-band QoE (wired by the client
+        #: composition)
         self.session = ""
         self.stats = RtpReceiverStats()
         self.jitter = InterarrivalJitterEstimator(clock_rate)
@@ -222,13 +227,15 @@ class RtpReceiver:
         if seen == rtp.fragment_count and rtp.marker:
             self._frag_seen.pop(rtp.timestamp, None)
             st.frames_received += 1
+            session = pkt.session or self.session
+            seq = rtp.frame.seq if rtp.frame is not None else pkt.frame_seq
+            frames = self.network.session_frames.get(session)
+            if frames is not None and seq >= 0:
+                frames.reassembled(self.stream_id, seq)
             if self.sim._tracing_detail:
                 self.sim._tracer.emit(
-                    now, "rtp.frame", self.stream_id,
-                    session=pkt.session or self.session,
-                    frame=rtp.frame.seq if rtp.frame is not None
-                    else pkt.frame_seq,
-                    media_time=rtp.timestamp, delay_s=delay)
+                    now, "rtp.frame", self.stream_id, session=session,
+                    frame=seq, media_time=rtp.timestamp, delay_s=delay)
             self._gc_stale_frames(rtp.timestamp)
             if self.on_frame is not None and rtp.frame is not None:
                 self.on_frame(rtp.frame, now)
@@ -238,9 +245,14 @@ class RtpReceiver:
     def _gc_stale_frames(self, completed_ts: int) -> None:
         """Frames older than a completed one can never finish: count them."""
         stale = [ts for ts in self._frag_seen if ts < completed_ts]
+        if not stale:
+            return
+        frames = self.network.session_frames.get(self.session)
         for ts in stale:
             del self._frag_seen[ts]
             self.stats.frames_dropped_fragments += 1
+            if frames is not None:
+                frames.dropped_media_time(self.stream_id, ts)
             if self.sim._tracing:
                 self.sim._tracer.emit(self.sim.now, "rtp.frame_drop",
                                       self.stream_id, session=self.session,

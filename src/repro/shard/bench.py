@@ -5,7 +5,9 @@ Backs ``python -m repro bench --clients N --shards K`` and
 and reports the merged metrics, digest, completeness and per-shard
 lifecycle; a *curve* sweeps N and emits the scaling artifact
 (``BENCH_population_scale.json``: events/sec and wall_s vs N) for the
-bench trajectory.
+bench trajectory. "Events" are kernel events (each cell's
+:attr:`~repro.des.kernel.Simulator.events_processed`); cells run
+untraced and score QoE in band.
 
 Per-cell admission: each cell is its own engine, so the admission
 controller sees one cell's concurrency, not the population's. The
@@ -92,6 +94,8 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
     Carries the standard trajectory keys (wall_s, events,
     events_per_sec, sessions, completed, qoe, service, timeseries)
     plus the sharding extras: digest, completeness, shard lifecycle.
+    ``events_per_sec`` is kernel events per wall second of the
+    supervised run.
     """
     from repro.shard.merge import qoe_summary_of
 
@@ -185,7 +189,7 @@ def run_scale_curve(
         "name": "population_scale",
         "scenario": "population_scale",
         "description": "sharded population scaling curve "
-                       "(events/sec and wall_s vs N)",
+                       "(kernel events/sec and wall_s vs N)",
         "smoke": smoke,
         "seed": seed,
         "shards": n_shards,

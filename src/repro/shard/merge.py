@@ -125,8 +125,8 @@ def qoe_summary_of(merged: dict[str, Any]) -> dict[str, Any]:
 
     Shares :func:`~repro.obs.qoe.qoe_summary_of_dicts` with
     :meth:`PopulationResult.qoe_summary`, so a sharded run reports
-    the same percentiles a monolithic run would. Empty when the
-    outcomes carry no QoE (untraced cells).
+    the same percentiles a monolithic run would. Every outcome of an
+    orchestrated cell carries one (QoE is computed in band).
     """
     from repro.obs.qoe import qoe_summary_of_dicts
 

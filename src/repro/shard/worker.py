@@ -48,17 +48,17 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
     (``local_index * stagger_s``): every cell is its own arrival
     wave, which keeps a cell's dynamics independent of its position
     in the population.
+
+    The cell runs untraced: each session's QoE is computed in band
+    (see :mod:`repro.obs.qoe`), and ``events`` counts the cell's
+    kernel events (:attr:`Simulator.events_processed`).
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
     from repro.core.orchestrator import PopulationResult, SessionSpec
     from repro.faults.digest import population_digest
-    from repro.obs.tracer import RecordingTracer
 
-    tracer = RecordingTracer()
-    eng = ServiceEngine(
-        EngineConfig(seed=seed, **dict(workload.config)), tracer=tracer
-    )
+    eng = ServiceEngine(EngineConfig(seed=seed, **dict(workload.config)))
     eng.add_server(
         workload.server,
         documents={workload.document: (workload.markup, workload.topic)},
@@ -87,9 +87,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
     # session's global index so merged outcomes are unambiguous.
     for j, outcome in enumerate(pop.outcomes):
         outcome.session_id = f"sess-{lo + j + 1}"
-        if outcome.result.qoe:
-            outcome.result.qoe["session"] = outcome.session_id
-    pop.metrics = pop.aggregate_metrics()
+        outcome.result.qoe["session"] = outcome.session_id
     pop_doc = pop.to_dict()
     return {
         "cell": cell,
@@ -98,7 +96,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
         "population": pop_doc,
         "service": sampler.report().to_dict(),
         "timeseries": sampler.series.to_dict(),
-        "events": sum(tracer.kind_counts().values()),
+        "events": eng.sim.events_processed,
         "wall_s": wall_s,
         "digest": population_digest(pop_doc),
     }

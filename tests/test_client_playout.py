@@ -191,3 +191,32 @@ def test_synchronized_pair_stays_locked_with_controller():
     without = run(enabled=False)
     assert with_ctrl.max_abs_s < without.max_abs_s
     assert with_ctrl.fraction_out_of_sync < without.fraction_out_of_sync
+
+
+def test_slave_skips_lost_tail_after_master_finishes():
+    """The video slave's last frames never arrive and the audio master
+    has already played out: the slave must skip the missing tail, not
+    stall on a master that will never move again."""
+    sim = Simulator()
+    log = PlayoutEventLog()
+    ctrl = SkewController("g", master_id="a")
+    buf_a = MediaBuffer("a", 8000, time_window_s=0.4, capacity_s=100.0)
+    buf_v = MediaBuffer("v", CLOCK, time_window_s=0.4, capacity_s=100.0)
+    for i in range(50):  # 1 s of 20 ms audio frames
+        buf_a.push(Frame("a", seq=i, media_time=i * 160, duration=160,
+                         size_bytes=160, kind=FrameKind.SAMPLE))
+    for i in range(22):  # video frames 22-24 are lost
+        buf_v.push(frame(i))
+    pa = PlayoutProcess(sim, entry(duration=1.0, group="g", master=True,
+                                   sid="a"), buf_a, log, 0.02, skew=ctrl)
+    pv = PlayoutProcess(sim, entry(duration=1.0, group="g", sid="v"),
+                        buf_v, log, INTERVAL, skew=ctrl,
+                        gap_policy="stall", max_consecutive_gaps=500)
+    sim.run(until=pa.finished)
+    master_done = sim.now
+    sim.run(until=pv.finished)
+    assert ctrl.master_finished
+    assert sim.now - master_done <= 4 * INTERVAL
+    assert pv.played_s == pytest.approx(1.0)
+    assert log.count(PlayoutEventKind.FRAME, "v") == 22
+    assert log.gap_count("v") < 10  # stalling would emit 500

@@ -334,3 +334,35 @@ def test_call_at_fires_one_plain_event_at_the_absolute_instant():
     assert got == [(0.1 + 0.2, "sum"), (0.5, "later"), (0.5, "at")]
     with pytest.raises(ValueError):
         sim.call_at(0.4, handler)
+
+
+def test_events_processed_counts_every_fired_event():
+    """``run`` counts each heap entry it fires, whatever fires it."""
+    sim = Simulator()
+    assert sim.events_processed == 0
+    for delay in (1.0, 2.0, 3.0):
+        sim.timeout(delay)
+    sim.call_at(2.5, lambda _ev: None)
+    sim.run(until=2.0)  # the 1.0 and 2.0 timeouts
+    assert sim.events_processed == 2
+
+    stepped = []
+    step = sim.step
+
+    def counting_step():
+        stepped.append(sim.peek())
+        step()
+
+    sim.step = counting_step  # a profiler replacing step still counts
+    sim.run()  # call_at 2.5, timeout 3.0
+    assert stepped == [2.5, 3.0]
+    assert sim.events_processed == 4
+
+    def proc():
+        yield sim.timeout(1.0)
+
+    p = sim.process(proc())
+    before = sim.events_processed
+    sim.run(until=p)
+    # bootstrap event, the timeout, the process's own completion
+    assert sim.events_processed - before == len(stepped) - 2 == 3

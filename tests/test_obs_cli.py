@@ -69,3 +69,42 @@ def test_cli_trace_usage_without_args(capsys):
 def test_cli_run_figure_still_works(capsys):
     assert main(["run", "table1"]) == 0
     assert "keywords" in capsys.readouterr().out
+
+
+def test_trace_summary_stamps_a_capped_recording_partial(tmp_path, capsys):
+    """A ring-buffered recording says what it shed: in the JSONL
+    header, the JSON report and the replayed lifecycle/QoE titles."""
+    import warnings
+
+    from repro.core import ServiceEngine
+    from repro.core.config import EngineConfig
+    from repro.core.experiments import av_markup
+    from repro.obs import RecordingTracer, summarize_trace, write_jsonl
+
+    tracer = RecordingTracer(max_events=4500)
+    eng = ServiceEngine(EngineConfig(seed=5), tracer=tracer)
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # the ring sheds the first session's start and keeps the
+        # second's, which replays from a truncated frame history
+        eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=1.5)
+    assert tracer.dropped_events > 0
+    assert len(tracer.events) == 4500
+
+    titles = [s["title"] for s in summarize_trace(list(tracer.events))]
+    assert not any("partial" in t for t in titles)
+    stamp = f"partial: {tracer.dropped_events} events shed"
+    titles = [s["title"] for s in summarize_trace(
+        list(tracer.events), dropped_events=tracer.dropped_events)]
+    assert any(t.startswith("Frame lifecycle") and stamp in t
+               for t in titles)
+    assert any(t.startswith("Session QoE") and stamp in t for t in titles)
+
+    jl = tmp_path / "capped.jsonl"
+    write_jsonl(tracer.events, jl, dropped_events=tracer.dropped_events)
+    assert main(["trace", str(jl), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"]["dropped_events"] == tracer.dropped_events
+    assert any(stamp in s["title"] for s in doc["sections"]
+               if s["title"].startswith("Session QoE"))

@@ -360,13 +360,28 @@ def test_population_and_shard_qoe_rollups_agree():
     assert summary == qoe_summary_of(pop.to_dict())
 
 
-def test_untraced_population_has_no_qoe():
-    eng = ServiceEngine(EngineConfig(seed=3))
-    eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
-    pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
-    assert pop.qoe_summary() == {}
-    for outcome in pop.outcomes:
-        assert outcome.result.qoe == {}
+def test_untraced_population_carries_replayed_qoe():
+    """QoE needs no tracer: an untraced run's in-band QoE equals the
+    trace replay of a traced run of the same inputs."""
+    def run(tracer):
+        eng = ServiceEngine(EngineConfig(seed=3, loss_p_gb=0.05,
+                                         loss_bad=0.4), tracer=tracer)
+        eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
+        return eng.orchestrator.run_population(2, "srv1", "doc",
+                                               stagger_s=0.3)
+
+    tracer = RecordingTracer()
+    traced = run(tracer)
+    untraced = run(None)
+    reference = score_sessions(tracer.events)
+    assert untraced.qoe_summary()["sessions"] == 2
+    for outcome, twin in zip(untraced.outcomes, traced.outcomes):
+        assert outcome.result.qoe
+        assert json.dumps(outcome.result.qoe, sort_keys=True) == \
+            json.dumps(reference[outcome.session_id].to_dict(),
+                       sort_keys=True)
+        assert outcome.result.qoe == twin.result.qoe
+    assert untraced.qoe_summary() == traced.qoe_summary()
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_digest_is_shard_count_invariant(reference):
         assert result.ok
         assert result.digest == reference.digest
         assert result.sessions() == N_CLIENTS
+        # kernel events are a pure function of the cells, too
+        assert result.events == reference.events > 0
 
 
 def test_merged_sessions_are_globally_named(reference):

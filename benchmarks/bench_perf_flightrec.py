@@ -50,20 +50,24 @@ def population_run(tracer=None) -> int:
     return len(pop.completed())
 
 
-def best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def measure() -> tuple[float, float]:
-    """(tracing disabled, flight recorder attached) best-of wall times."""
+    """(tracing disabled, flight recorder attached) best-of wall times.
+
+    The arms alternate run by run, so a slow spell on a shared host
+    lands on both of them rather than on one arm's whole batch.
+    """
     population_run()  # warm-up outside timing
-    disabled = best_of(lambda: population_run(None))
-    recorded = best_of(lambda: population_run(FlightRecorder()))
+    disabled = recorded = float("inf")
+    for _ in range(REPEATS):
+        disabled = min(disabled, _timed(lambda: population_run(None)))
+        recorded = min(recorded,
+                       _timed(lambda: population_run(FlightRecorder())))
     return disabled, recorded
 
 

@@ -1,65 +1,15 @@
-"""Command-line front end: experiments, figures, demos and traces.
+"""Command-line front end: ``python -m repro COMMAND [-h]``.
 
-Usage:
-    python -m repro list
-    python -m repro run e3            # an experiment (e1..e11)
-    python -m repro run fig2          # a figure/table artefact
-    python -m repro demo              # the quickstart delivery
-    python -m repro trace FILE.jsonl  # summarize a recorded trace
-    python -m repro trace --record OUT.jsonl [--chrome OUT.json]
-                                      # record a traced population run
-    python -m repro bench [--smoke] [--profile]
-                                      # benchmark trajectory artifacts
-                                      # (BENCH_<name>.json + baseline
-                                      # regression check; --profile
-                                      # adds kernel attribution)
-    python -m repro bench --clients N --shards K
-                                      # supervised sharded population
-                                      # run (worker processes, retry,
-                                      # partial-result degradation
-                                      # under --tolerate-shard-failures)
-    python -m repro bench --scale-curve [--smoke]
-                                      # sharded scaling curve artifact
-                                      # (events/sec and wall_s vs N)
-    python -m repro profile [--scenario NAME] [--smoke]
-                                      # DES kernel profiler: hot-spot
-                                      # tables, PROFILE_<name>.json and
-                                      # a collapsed-stack export for
-                                      # flamegraph/speedscope
-    python -m repro slo [--artifact FILE | --scenario NAME | --chaos NAME]
-                                      # evaluate SLO rules against a
-                                      # saved artifact or a live run;
-                                      # exit 1 on any violated rule
-    python -m repro chaos [--scenario crash] [--smoke]
-                                      # fault-injection run: scheduled
-                                      # crashes/flaps/partitions with
-                                      # failover + retry defences;
-                                      # --flight-dump FILE captures the
-                                      # flight-recorder window around
-                                      # the first injected fault
-    python -m repro trend [--history DIR ...] [--artifact FILE ...]
-                                      # judge the newest artifact of
-                                      # each scenario against its
-                                      # history (median + MAD bands);
-                                      # exit 1 on any regression
-    python -m repro report --artifact FILE [--out FILE.md]
-                                      # one markdown dashboard: QoE,
-                                      # service, time-series plots,
-                                      # SLO status, trend verdicts
-    python -m repro lint --self --scenarios
-                                      # static analysis: determinism
-                                      # linter over src/repro + HML
-                                      # scenario analyzer over the
-                                      # shipped scenario corpus
-    python -m repro lint PATH [...]   # lint .py files/trees and .hml
-                                      # scenario files/directories
-
-Any command accepts ``--json`` to emit one machine-readable document
-instead of text tables.
+Runs the paper's experiments, figures and tables, a demo delivery,
+and the service tooling: traces, benchmarks, the kernel profiler, SLO
+gates, chaos runs, trend and report dashboards, and the linter. Every
+command takes ``-h`` for its flags and ``--json`` to emit one
+machine-readable document instead of text tables.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -89,13 +39,23 @@ FIGURES = {
 }
 
 
-def _run_experiment(key: str, report: Reporter) -> int:
+def _list(ns: argparse.Namespace, report: Reporter) -> int:
+    report.table("experiments", ["key", "title"],
+                 [[k, title] for k, (_, title) in EXPERIMENTS.items()])
+    report.table("figures", ["key", "title"],
+                 [[k, title] for k, title in FIGURES.items()])
+    return 0
+
+
+def _run(ns: argparse.Namespace, report: Reporter) -> int:
+    if ns.key in FIGURES:
+        return _run_figure(ns.key, report)
     import repro.core.experiments as exp
 
-    fn_name, title = EXPERIMENTS[key]
+    fn_name, title = EXPERIMENTS[ns.key]
     out = getattr(exp, fn_name)()
     headers, rows = out[0], out[1]
-    report.table(f"{key.upper()} — {title}", headers, rows)
+    report.table(f"{ns.key.upper()} — {title}", headers, rows)
     return 0
 
 
@@ -125,7 +85,7 @@ def _run_figure(key: str, report: Reporter) -> int:
     return 0
 
 
-def _demo(report: Reporter) -> int:
+def _demo(ns: argparse.Namespace, report: Reporter) -> int:
     from repro.core import ServiceEngine
     from repro.core.experiments import av_markup
 
@@ -168,7 +128,7 @@ def _record_trace(out_path: str, chrome_path: str | None,
     return 0
 
 
-def _trace(args: list[str], report: Reporter) -> int:
+def _trace(ns: argparse.Namespace, report: Reporter) -> int:
     """``trace`` subcommand: summarize or record structured traces."""
     from repro.obs import (
         read_jsonl,
@@ -177,169 +137,45 @@ def _trace(args: list[str], report: Reporter) -> int:
         write_chrome_trace,
     )
 
-    record_to: str | None = None
-    chrome_to: str | None = None
-    top = 12
-    n_clients = 3
-    inputs: list[str] = []
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--record":
-            i += 1
-            record_to = args[i]
-        elif a == "--chrome":
-            i += 1
-            chrome_to = args[i]
-        elif a == "--top":
-            i += 1
-            top = int(args[i])
-        elif a == "--clients":
-            i += 1
-            n_clients = int(args[i])
-        else:
-            inputs.append(a)
-        i += 1
-    if record_to is not None:
-        return _record_trace(record_to, chrome_to, n_clients, report)
-    if not inputs:
-        report.text("usage: python -m repro trace <file.jsonl> "
-                    "[--top N] [--chrome OUT.json]")
-        report.text("       python -m repro trace --record OUT.jsonl "
-                    "[--chrome OUT.json] [--clients N]")
-        return 2
-    for path in inputs:
+    if ns.record is not None:
+        return _record_trace(ns.record, ns.chrome, ns.clients, report)
+    for path in ns.inputs:
         events = read_jsonl(path)
         dropped = int(read_jsonl_header(path).get("dropped_events", 0))
         report.value("dropped_events", dropped)
-        for section in summarize_trace(events, top=top,
+        for section in summarize_trace(events, top=ns.top,
                                        dropped_events=dropped):
             report.table(section["title"], section["headers"],
                          section["rows"])
-        if chrome_to:
-            m = write_chrome_trace(events, chrome_to)
+        if ns.chrome:
+            m = write_chrome_trace(events, ns.chrome)
             report.value("chrome_records", m)
-            report.value("chrome_path", chrome_to)
+            report.value("chrome_path", ns.chrome)
     return 0
 
 
-def _bench(args: list[str], report: Reporter) -> int:
+def _bench(ns: argparse.Namespace, report: Reporter) -> int:
     """``bench`` subcommand: run scenarios, emit BENCH_*.json, compare."""
     import json
-    import os
 
-    from repro.obs.bench import (
-        DEFAULT_PERF_THRESHOLD,
-        DEFAULT_THRESHOLD,
-        SCENARIOS,
-        compare_to_baseline,
-        run_benchmarks,
-    )
+    from repro.obs.bench import SCENARIOS, compare_to_baseline, run_benchmarks
 
-    smoke = False
-    update_baseline = False
-    profile = False
-    out_dir = "."
-    baseline_dir = os.path.join("benchmarks", "baseline")
-    threshold = DEFAULT_THRESHOLD
-    perf_threshold = DEFAULT_PERF_THRESHOLD
-    names: list[str] = []
-    clients: int | None = None
-    shards = 4
-    cell_clients = 8
-    shard_seed = 11
-    duration_s = 6.0
-    tolerate = False
-    scale_curve = False
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--smoke":
-            smoke = True
-        elif a == "--profile":
-            profile = True
-        elif a == "--update-baseline":
-            update_baseline = True
-        elif a == "--out":
-            i += 1
-            out_dir = args[i]
-        elif a == "--baseline":
-            i += 1
-            baseline_dir = args[i]
-        elif a == "--threshold":
-            i += 1
-            threshold = float(args[i])
-        elif a == "--perf-threshold":
-            i += 1
-            perf_threshold = float(args[i])
-        elif a == "--scenario":
-            i += 1
-            names.append(args[i])
-        elif a == "--clients":
-            i += 1
-            clients = int(args[i])
-        elif a == "--shards":
-            i += 1
-            shards = int(args[i])
-        elif a == "--cell":
-            i += 1
-            cell_clients = int(args[i])
-        elif a == "--seed":
-            i += 1
-            shard_seed = int(args[i])
-        elif a == "--duration":
-            i += 1
-            duration_s = float(args[i])
-        elif a == "--tolerate-shard-failures":
-            tolerate = True
-        elif a == "--scale-curve":
-            scale_curve = True
-        elif a == "--topology":
-            i += 1
-            topology = args[i]
-            matching = [s.name for s in SCENARIOS.values()
-                        if s.topology == topology]
-            if not matching:
-                known = sorted({s.topology for s in SCENARIOS.values()})
-                report.text(f"no scenarios with topology {topology!r}; "
-                            f"known: {', '.join(known)}")
-                return 2
-            names.extend(matching)
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro bench [--smoke] [--profile] "
-                "[--out DIR] "
-                "[--baseline DIR] [--threshold F] [--perf-threshold F] "
-                "[--scenario NAME ...] [--topology star|cdn] "
-                "[--update-baseline]")
-            report.text(
-                "sharded: python -m repro bench --clients N "
-                "[--shards K] [--cell N] [--seed N] [--duration F] "
-                "[--tolerate-shard-failures] | --scale-curve "
-                "[--smoke] [--out DIR]")
-            report.text(f"scenarios: {', '.join(sorted(SCENARIOS))}")
-            return 0
-        else:
-            report.text(f"unknown bench option {a!r}")
-            return 2
-        i += 1
+    if ns.clients is not None or ns.scale_curve:
+        return _bench_sharded(ns, report)
 
-    if clients is not None or scale_curve:
-        return _bench_sharded(
-            report, clients=clients, shards=shards,
-            cell_clients=cell_clients, seed=shard_seed,
-            duration_s=duration_s, tolerate=tolerate,
-            scale_curve=scale_curve, smoke=smoke, out_dir=out_dir)
-
+    smoke, out_dir = ns.smoke, ns.out
+    names = ns.scenarios + [s.name for topology in ns.topologies
+                            for s in SCENARIOS.values()
+                            if s.topology == topology]
     os.makedirs(out_dir, exist_ok=True)
     artifacts = run_benchmarks(names or None, smoke=smoke,
-                               profile=profile)
+                               profile=ns.profile)
     problems: list[str] = []
     rows = []
     for name, artifact in artifacts.items():
         out_path = os.path.join(out_dir, f"BENCH_{name}.json")
         report.artifact(f"artifact:{name}", out_path, artifact)
-        if profile and "profile" in artifact:
+        if ns.profile and "profile" in artifact:
             prof_path = os.path.join(out_dir, f"PROFILE_{name}.json")
             report.artifact(f"profile:{name}", prof_path,
                             artifact["profile"])
@@ -355,16 +191,16 @@ def _bench(args: list[str], report: Reporter) -> int:
         ])
         base_name = f"BENCH_{name}.smoke.json" if smoke \
             else f"BENCH_{name}.json"
-        base_path = os.path.join(baseline_dir, base_name)
-        if update_baseline:
-            os.makedirs(baseline_dir, exist_ok=True)
+        base_path = os.path.join(ns.baseline, base_name)
+        if ns.update_baseline:
+            os.makedirs(ns.baseline, exist_ok=True)
             report.artifact(f"baseline:{name}", base_path, artifact)
         elif os.path.exists(base_path):
             with open(base_path, encoding="utf-8") as fh:
                 baseline = json.load(fh)
             problems.extend(compare_to_baseline(
                 artifact, baseline,
-                threshold=threshold, perf_threshold=perf_threshold,
+                threshold=ns.threshold, perf_threshold=ns.perf_threshold,
             ))
         else:
             report.value(f"baseline:{name}", "missing (not compared)")
@@ -388,14 +224,8 @@ def _shard_lifecycle_table(report: Reporter, shards) -> None:
     )
 
 
-def _bench_sharded(report: Reporter, *, clients: int | None,
-                   shards: int, cell_clients: int, seed: int,
-                   duration_s: float, tolerate: bool,
-                   scale_curve: bool, smoke: bool,
-                   out_dir: str) -> int:
+def _bench_sharded(ns: argparse.Namespace, report: Reporter) -> int:
     """Sharded bench paths: one supervised point or the scaling curve."""
-    import os
-
     from repro.shard.bench import (
         run_scale_curve,
         run_sharded,
@@ -403,11 +233,12 @@ def _bench_sharded(report: Reporter, *, clients: int | None,
     )
     from repro.shard.result import ShardFailure
 
+    smoke, out_dir = ns.smoke, ns.out
     os.makedirs(out_dir, exist_ok=True)
-    if scale_curve:
+    if ns.scale_curve:
         artifact = run_scale_curve(
-            n_shards=shards, seed=seed, cell_clients=cell_clients,
-            smoke=smoke, tolerate_failures=tolerate)
+            n_shards=ns.shards, seed=ns.seed, cell_clients=ns.cell,
+            smoke=smoke, tolerate_failures=ns.tolerate_shard_failures)
         out_path = os.path.join(out_dir, "BENCH_population_scale.json")
         report.artifact("artifact:population_scale", out_path, artifact)
         report.table(
@@ -423,11 +254,11 @@ def _bench_sharded(report: Reporter, *, clients: int | None,
         )
         return 0
 
-    assert clients is not None
     try:
         result = run_sharded(
-            clients, shards, seed=seed, cell_clients=cell_clients,
-            duration_s=duration_s, tolerate_failures=tolerate)
+            ns.clients, ns.shards, seed=ns.seed, cell_clients=ns.cell,
+            duration_s=ns.duration,
+            tolerate_failures=ns.tolerate_shard_failures)
     except ShardFailure as exc:
         result = exc.result
         report.text(f"sharded run failed: {exc}")
@@ -435,7 +266,7 @@ def _bench_sharded(report: Reporter, *, clients: int | None,
         return 1
 
     artifact = sharded_artifact(result, smoke=smoke,
-                                duration_s=duration_s)
+                                duration_s=ns.duration)
     out_path = os.path.join(out_dir, "BENCH_population_shard.json")
     report.artifact("artifact:population_shard", out_path, artifact)
     qoe = artifact.get("qoe") or {}
@@ -462,51 +293,14 @@ def _bench_sharded(report: Reporter, *, clients: int | None,
     return 0
 
 
-def _profile(args: list[str], report: Reporter) -> int:
+def _profile(ns: argparse.Namespace, report: Reporter) -> int:
     """``profile`` subcommand: kernel attribution over a bench run."""
-    import os
-
     from repro.obs.bench import SCENARIOS, run_scenario
 
-    smoke = False
-    out_dir = "."
-    top = 15
-    names: list[str] = []
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--smoke":
-            smoke = True
-        elif a == "--scenario":
-            i += 1
-            names.append(args[i])
-        elif a == "--out":
-            i += 1
-            out_dir = args[i]
-        elif a == "--top":
-            i += 1
-            top = int(args[i])
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro profile [--scenario NAME ...] "
-                "[--smoke] [--out DIR] [--top N]")
-            report.text(f"scenarios: {', '.join(sorted(SCENARIOS))}")
-            return 0
-        else:
-            report.text(f"unknown profile option {a!r}")
-            return 2
-        i += 1
-
-    if not names:
-        names = ["population_clean"]
+    smoke, out_dir = ns.smoke, ns.out
     os.makedirs(out_dir, exist_ok=True)
-    for name in names:
-        scenario = SCENARIOS.get(name)
-        if scenario is None:
-            report.text(f"unknown bench scenario {name!r}; "
-                        f"available: {', '.join(sorted(SCENARIOS))}")
-            return 2
-        artifact = run_scenario(scenario, smoke=smoke, profile=True)
+    for name in ns.scenarios or ["population_clean"]:
+        artifact = run_scenario(SCENARIOS[name], smoke=smoke, profile=True)
         prof = artifact["profile"]
         out_path = os.path.join(out_dir, f"PROFILE_{name}.json")
         report.artifact(f"profile:{name}", out_path, prof)
@@ -529,111 +323,47 @@ def _profile(args: list[str], report: Reporter) -> int:
             ["kind", "handler", "count", "total_us", "mean_us"],
             [[r["kind"], r["handler"], r["count"],
               f"{r['total_us']:.0f}", f"{r['mean_us']:.2f}"]
-             for r in prof["hotspots"][:top]],
+             for r in prof["hotspots"][:ns.top]],
         )
         report.value(f"kernel_ms:{name}", round(prof["kernel_ms"], 2))
         report.value(f"coverage:{name}", round(prof["coverage"], 4))
     return 0
 
 
-def _slo(args: list[str], report: Reporter) -> int:
+def _slo(ns: argparse.Namespace, report: Reporter) -> int:
     """``slo`` subcommand: evaluate SLO rules, exit 1 on violation."""
     import json
 
     from repro.obs.slo import DEFAULT_SLOS, evaluate, parse_spec
 
-    artifact_path: str | None = None
-    scenario: str | None = None
-    chaos: str | None = None
-    spec_key: str | None = None
-    spec_file: str | None = None
-    rules_text: list[str] = []
-    smoke = False
-    flight_dump: str | None = None
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--artifact":
-            i += 1
-            artifact_path = args[i]
-        elif a == "--scenario":
-            i += 1
-            scenario = args[i]
-        elif a == "--chaos":
-            i += 1
-            chaos = args[i]
-        elif a == "--spec":
-            i += 1
-            spec_key = args[i]
-        elif a == "--spec-file":
-            i += 1
-            spec_file = args[i]
-        elif a == "--rule":
-            i += 1
-            rules_text.append(args[i])
-        elif a == "--smoke":
-            smoke = True
-        elif a == "--flight-dump":
-            i += 1
-            flight_dump = args[i]
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro slo (--artifact FILE | "
-                "--scenario NAME | --chaos NAME) [--smoke] "
-                "[--spec KEY] [--spec-file FILE] "
-                "[--rule 'metric op N']... [--flight-dump FILE]")
-            report.text(
-                "--flight-dump (with --chaos) captures the flight-"
-                "recorder window on fault injection or SLO violation")
-            report.text(f"shipped specs: {', '.join(sorted(DEFAULT_SLOS))}")
-            return 0
-        else:
-            report.text(f"unknown slo option {a!r}")
-            return 2
-        i += 1
-
-    sources = [s for s in (artifact_path, scenario, chaos) if s]
-    if len(sources) != 1:
-        report.text("slo needs exactly one of --artifact / --scenario / "
-                    "--chaos (see --help)")
-        return 2
-    if flight_dump is not None and chaos is None:
-        report.text("--flight-dump needs a live --chaos run")
-        return 2
     chaos_run = None
-
-    if artifact_path is not None:
-        with open(artifact_path, encoding="utf-8") as fh:
+    if ns.artifact is not None:
+        with open(ns.artifact, encoding="utf-8") as fh:
             artifact = json.load(fh)
         default_key = artifact.get("name") or artifact.get("scenario")
         if artifact.get("schema") == "repro.chaos":
             default_key = "chaos"
-    elif scenario is not None:
+    elif ns.scenario is not None:
         from repro.obs.bench import SCENARIOS, run_scenario
 
-        bench_scenario = SCENARIOS.get(scenario)
-        if bench_scenario is None:
-            report.text(f"unknown bench scenario {scenario!r}; "
-                        f"available: {', '.join(sorted(SCENARIOS))}")
-            return 2
-        artifact = run_scenario(bench_scenario, smoke=smoke)
-        default_key = scenario
+        artifact = run_scenario(SCENARIOS[ns.scenario], smoke=ns.smoke)
+        default_key = ns.scenario
     else:
         from repro.faults.scenarios import run_chaos
 
-        chaos_run = run_chaos(chaos, smoke=smoke,
-                              flight_dump=flight_dump)
+        chaos_run = run_chaos(ns.chaos, smoke=ns.smoke,
+                              flight_dump=ns.flight_dump)
         artifact = chaos_run.artifact
         default_key = "chaos"
 
     rules = []
-    if spec_file is not None:
-        with open(spec_file, encoding="utf-8") as fh:
+    if ns.spec_file is not None:
+        with open(ns.spec_file, encoding="utf-8") as fh:
             rules.extend(parse_spec(fh.read().splitlines()))
-    if rules_text:
-        rules.extend(parse_spec(rules_text))
+    if ns.rules:
+        rules.extend(parse_spec(ns.rules))
     if not rules:
-        key = spec_key if spec_key is not None else default_key
+        key = ns.spec if ns.spec is not None else default_key
         spec = DEFAULT_SLOS.get(key or "")
         if spec is None:
             report.text(
@@ -672,79 +402,15 @@ def _slo(args: list[str], report: Reporter) -> int:
     return 1 if violations else 0
 
 
-def _chaos(args: list[str], report: Reporter) -> int:
+def _chaos(ns: argparse.Namespace, report: Reporter) -> int:
     """``chaos`` subcommand: fault-injection scenarios + assertions."""
-    from repro.faults.scenarios import (
-        CHAOS_SCENARIOS,
-        check_determinism,
-        run_chaos,
-    )
+    from repro.faults.scenarios import check_determinism, run_chaos
 
-    name = "crash"
-    smoke = False
-    seed: int | None = None
-    n_clients: int | None = None
-    recovery = True
-    retry: bool | None = None
-    check_det = False
-    min_delivered: float | None = None
-    min_completed: float | None = None
-    out_path: str | None = None
-    flight_dump: str | None = None
-    flight_window_s = 30.0
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--scenario":
-            i += 1
-            name = args[i]
-        elif a == "--smoke":
-            smoke = True
-        elif a == "--seed":
-            i += 1
-            seed = int(args[i])
-        elif a == "--clients":
-            i += 1
-            n_clients = int(args[i])
-        elif a == "--no-recovery":
-            recovery = False
-        elif a == "--no-retry":
-            retry = False
-        elif a == "--check-determinism":
-            check_det = True
-        elif a == "--min-delivered":
-            i += 1
-            min_delivered = float(args[i])
-        elif a == "--min-completed":
-            i += 1
-            min_completed = float(args[i])
-        elif a == "--out":
-            i += 1
-            out_path = args[i]
-        elif a == "--flight-dump":
-            i += 1
-            flight_dump = args[i]
-        elif a == "--flight-window":
-            i += 1
-            flight_window_s = float(args[i])
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro chaos [--scenario NAME] [--smoke] "
-                "[--seed N] [--clients N] [--no-recovery] [--no-retry] "
-                "[--check-determinism] [--min-delivered FRAC] "
-                "[--min-completed FRAC] [--out FILE] "
-                "[--flight-dump FILE] [--flight-window SECONDS]")
-            report.text(f"scenarios: {', '.join(sorted(CHAOS_SCENARIOS))}")
-            return 0
-        else:
-            report.text(f"unknown chaos option {a!r}")
-            return 2
-        i += 1
-
-    run = run_chaos(name, smoke=smoke, seed=seed, n_clients=n_clients,
-                    recovery=recovery, retry=retry,
-                    flight_dump=flight_dump,
-                    flight_window_s=flight_window_s)
+    name, smoke, seed = ns.scenario, ns.smoke, ns.seed
+    run = run_chaos(name, smoke=smoke, seed=seed, n_clients=ns.clients,
+                    recovery=ns.recovery, retry=ns.retry,
+                    flight_dump=ns.flight_dump,
+                    flight_window_s=ns.flight_window)
     a = run.artifact
     report.table(
         f"Chaos run — {name}" + (" (smoke)" if smoke else ""),
@@ -766,10 +432,10 @@ def _chaos(args: list[str], report: Reporter) -> int:
     )
     if isinstance(a.get("service"), dict) and a["service"]:
         report.service_report(a["service"])
-    if out_path:
-        report.artifact(f"chaos:{name}", out_path, a)
+    if ns.out:
+        report.artifact(f"chaos:{name}", ns.out, a)
     failed = False
-    if flight_dump is not None:
+    if ns.flight_dump is not None:
         dump = a.get("flight_dump") or {}
         if dump:
             report.value("flight_dump", dump.get("path"))
@@ -782,36 +448,34 @@ def _chaos(args: list[str], report: Reporter) -> int:
                          "flight recorder never dumped despite a "
                          "non-empty fault plan")
             failed = True
-    if check_det:
+    if ns.check_determinism:
         same, d1, d2 = check_determinism(name, smoke=smoke, seed=seed)
         report.value("deterministic", same)
         if not same:
             report.value("digest_a", d1)
             report.value("digest_b", d2)
             failed = True
-    if min_delivered is not None:
+    if ns.min_delivered is not None:
         frac = a["delivered"] / a["sessions"] if a["sessions"] else 0.0
         report.value("delivered_fraction", round(frac, 3))
-        if frac < min_delivered:
+        if frac < ns.min_delivered:
             report.value(
                 "failure",
-                f"delivered {frac:.2f} < required {min_delivered:.2f}")
+                f"delivered {frac:.2f} < required {ns.min_delivered:.2f}")
             failed = True
-    if min_completed is not None:
+    if ns.min_completed is not None:
         frac = a["completed"] / a["sessions"] if a["sessions"] else 0.0
         report.value("completed_fraction", round(frac, 3))
-        if frac < min_completed:
+        if frac < ns.min_completed:
             report.value(
                 "failure",
-                f"completed {frac:.2f} < required {min_completed:.2f}")
+                f"completed {frac:.2f} < required {ns.min_completed:.2f}")
             failed = True
     return 1 if failed else 0
 
 
-def _trend(args: list[str], report: Reporter) -> int:
+def _trend(ns: argparse.Namespace, report: Reporter) -> int:
     """``trend`` subcommand: newest run vs history, exit 1 on regress."""
-    import os
-
     from repro.obs.trend import (
         analyze_group,
         group_history,
@@ -819,56 +483,24 @@ def _trend(args: list[str], report: Reporter) -> int:
         sparkline,
     )
 
-    history_paths: list[str] = []
-    artifact_paths: list[str] = []
-    threshold: float | None = None
-    perf_threshold: float | None = None
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--history":
-            i += 1
-            history_paths.append(args[i])
-        elif a == "--artifact":
-            i += 1
-            artifact_paths.append(args[i])
-        elif a == "--threshold":
-            i += 1
-            threshold = float(args[i])
-        elif a == "--perf-threshold":
-            i += 1
-            perf_threshold = float(args[i])
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro trend [--history DIR|FILE ...] "
-                "[--artifact FILE ...] [--threshold F] "
-                "[--perf-threshold F]")
-            report.text(
-                "--history defaults to benchmarks/history; --artifact "
-                "files are appended as the newest point of their group.")
-            return 0
-        else:
-            report.text(f"unknown trend option {a!r}")
-            return 2
-        i += 1
-
+    history_paths = list(ns.history)
     if not history_paths:
         default_dir = os.path.join("benchmarks", "history")
         if os.path.isdir(default_dir):
             history_paths.append(default_dir)
     # --artifact files load after the history so they land as the
     # newest (judged) point of their scenario group.
-    history = load_history(history_paths + artifact_paths)
+    history = load_history(history_paths + ns.artifacts)
     if not history:
         report.text("no artifacts found; pass --history DIR and/or "
                     "--artifact FILE (see --help)")
         return 2
 
     kwargs: dict[str, float] = {}
-    if threshold is not None:
-        kwargs["threshold"] = threshold
-    if perf_threshold is not None:
-        kwargs["perf_threshold"] = perf_threshold
+    if ns.threshold is not None:
+        kwargs["threshold"] = ns.threshold
+    if ns.perf_threshold is not None:
+        kwargs["perf_threshold"] = ns.perf_threshold
     regressions = 0
     rows = []
     for (name, smoke), docs in sorted(group_history(history).items()):
@@ -890,7 +522,7 @@ def _trend(args: list[str], report: Reporter) -> int:
     return 1 if regressions else 0
 
 
-def _report(args: list[str], report: Reporter) -> int:
+def _report(ns: argparse.Namespace, report: Reporter) -> int:
     """``report`` subcommand: markdown dashboard for one artifact."""
     import json
 
@@ -902,37 +534,7 @@ def _report(args: list[str], report: Reporter) -> int:
         render_markdown_report,
     )
 
-    artifact_path: str | None = None
-    out_path: str | None = None
-    history_paths: list[str] = []
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--artifact":
-            i += 1
-            artifact_path = args[i]
-        elif a == "--out":
-            i += 1
-            out_path = args[i]
-        elif a == "--history":
-            i += 1
-            history_paths.append(args[i])
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro report --artifact FILE "
-                "[--out FILE.md] [--history DIR|FILE ...]")
-            return 0
-        elif artifact_path is None and not a.startswith("-"):
-            artifact_path = a
-        else:
-            report.text(f"unknown report option {a!r}")
-            return 2
-        i += 1
-    if artifact_path is None:
-        report.text("report needs an artifact: python -m repro report "
-                    "--artifact BENCH_x.json [--out report.md]")
-        return 2
-
+    artifact_path = ns.artifact or ns.artifact_file
     with open(artifact_path, encoding="utf-8") as fh:
         artifact = json.load(fh)
 
@@ -943,8 +545,8 @@ def _report(args: list[str], report: Reporter) -> int:
     slo_checks = evaluate(parse_spec(spec), artifact) if spec else None
 
     trend_rows = None
-    if history_paths:
-        history = load_history(history_paths)
+    if ns.history:
+        history = load_history(ns.history)
         key = (str(artifact.get("scenario") or artifact.get("name")
                    or "?"), bool(artifact.get("smoke")))
         docs = group_history(history).get(key, [])
@@ -953,9 +555,9 @@ def _report(args: list[str], report: Reporter) -> int:
 
     markdown = render_markdown_report(artifact, trend_rows=trend_rows,
                                       slo_checks=slo_checks)
-    if out_path:
-        atomic_write_text(out_path, markdown + "\n")
-        report.value("report_path", out_path)
+    if ns.out:
+        atomic_write_text(ns.out, markdown + "\n")
+        report.value("report_path", ns.out)
     else:
         report.text(markdown)
     if slo_checks:
@@ -964,129 +566,262 @@ def _report(args: list[str], report: Reporter) -> int:
     return 0
 
 
-def _lint(args: list[str], report: Reporter) -> int:
+def _lint(ns: argparse.Namespace, report: Reporter) -> int:
     """``lint`` subcommand: scenario analyzer + determinism linter."""
     from repro.analysis.runner import list_rules, run_lint
 
-    self_lint = False
-    scenarios = False
-    closed = False
-    capacity_bps: float | None = None
-    examples_dir: str | None = None
-    fmt = "text"
-    baseline_path: str | None = None
-    write_baseline: str | None = None
-    paths: list[str] = []
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--self":
-            self_lint = True
-        elif a == "--scenarios":
-            scenarios = True
-        elif a == "--closed-set":
-            closed = True
-        elif a == "--capacity-mbps":
-            i += 1
-            capacity_bps = float(args[i]) * 1e6
-        elif a == "--examples-dir":
-            i += 1
-            examples_dir = args[i]
-        elif a == "--format":
-            i += 1
-            fmt = args[i]
-            if fmt not in ("text", "github"):
-                report.text(f"unknown --format {fmt!r} "
-                            "(want text or github)")
-                return 2
-        elif a == "--baseline":
-            i += 1
-            baseline_path = args[i]
-        elif a == "--write-baseline":
-            i += 1
-            write_baseline = args[i]
-        elif a == "--list-rules":
-            return list_rules(report)
-        elif a in ("-h", "--help"):
-            report.text(
-                "usage: python -m repro lint [PATH ...] [--self] "
-                "[--scenarios] [--capacity-mbps F] [--closed-set] "
-                "[--examples-dir DIR] [--format text|github] "
-                "[--baseline FILE] [--write-baseline FILE] "
-                "[--list-rules]")
-            report.text(
-                "PATHs ending in .py (or directories of Python code) go "
-                "to the Python linter (determinism + fork-safety + taint "
-                "+ trace-schema families); .hml files/directories go to "
-                "the scenario analyzer as one scenario set. --baseline "
-                "filters findings through a reason-annotated suppression "
-                "file; --write-baseline snapshots current findings.")
-            return 0
-        else:
-            paths.append(a)
-        i += 1
-    if self_lint and baseline_path is None:
+    if ns.list_rules:
+        return list_rules(report)
+    baseline_path = ns.baseline
+    if ns.self_lint and baseline_path is None:
         default_baseline = os.path.join(os.getcwd(), "lint-baseline.json")
         if os.path.exists(default_baseline):
             baseline_path = default_baseline
-    return run_lint(report, paths=paths, self_lint=self_lint,
-                    scenarios=scenarios, capacity_bps=capacity_bps,
-                    closed=closed, examples_dir=examples_dir, fmt=fmt,
-                    baseline_path=baseline_path,
-                    write_baseline=write_baseline)
+    capacity_bps = (None if ns.capacity_mbps is None
+                    else ns.capacity_mbps * 1e6)
+    return run_lint(report, paths=ns.paths, self_lint=ns.self_lint,
+                    scenarios=ns.scenarios, capacity_bps=capacity_bps,
+                    closed=ns.closed_set, examples_dir=ns.examples_dir,
+                    fmt=ns.format, baseline_path=baseline_path,
+                    write_baseline=ns.write_baseline)
+
+
+#: bench flags that only the scenario run reads, and those that only
+#: the sharded modes (``--clients`` / ``--scale-curve``) read
+_BENCH_SCENARIO_FLAGS = ("--profile", "--scenario", "--topology",
+                         "--baseline", "--threshold", "--perf-threshold",
+                         "--update-baseline")
+_BENCH_SHARD_FLAGS = ("--shards", "--cell", "--seed", "--duration",
+                      "--tolerate-shard-failures")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The ``python -m repro`` parser and its subparsers by name."""
+    from repro.faults.scenarios import CHAOS_SCENARIOS
+    from repro.obs.bench import (
+        DEFAULT_PERF_THRESHOLD,
+        DEFAULT_THRESHOLD,
+        SCENARIOS,
+    )
+
+    bench_names = sorted(SCENARIOS)
+    chaos_names = sorted(CHAOS_SCENARIOS)
+    json_help = "emit one JSON document instead of text tables"
+    # --json is accepted before or after the command; SUPPRESS keeps
+    # a subparser from overwriting the top-level value with a default
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           default=argparse.SUPPRESS, help=json_help)
+    parser = argparse.ArgumentParser(prog="python -m repro",
+                                     description=__doc__, allow_abbrev=False)
+    parser.add_argument("--json", action="store_true", help=json_help)
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(name, run, summary):
+        sub = subparsers.add_parser(name, help=summary, description=summary,
+                                    parents=[json_flag], allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("help", None, "show this help")
+    command("list", _list, "list the experiments and figures")
+    sub = command("run", _run, "run an experiment or render a figure")
+    sub.add_argument("key", type=str.lower, metavar="KEY",
+                     choices=[*EXPERIMENTS, *FIGURES],
+                     help="experiment or figure key (see list)")
+    command("demo", _demo, "the quickstart A/V delivery")
+
+    sub = command("trace", _trace,
+                  "summarize a JSONL trace, or record a traced run")
+    sub.add_argument("inputs", nargs="*", metavar="FILE.jsonl")
+    sub.add_argument("--record", metavar="OUT.jsonl",
+                     help="record a traced population run to OUT")
+    sub.add_argument("--chrome", metavar="OUT.json",
+                     help="also write a Chrome trace")
+    sub.add_argument("--top", type=int, default=12,
+                     help="rows in the top-N tables")
+    sub.add_argument("--clients", type=int, default=3,
+                     help="viewers in a --record run")
+
+    sub = command("bench", _bench,
+                  "benchmark scenarios into BENCH_<name>.json and gate "
+                  "them on the baselines; or a sharded population run "
+                  "(--clients) or scaling curve (--scale-curve)")
+    sub.add_argument("--smoke", action="store_true",
+                     help="CI-sized runs")
+    sub.add_argument("--out", default=".", metavar="DIR")
+    sub.add_argument("--profile", action="store_true",
+                     help="embed kernel attribution in the artifacts")
+    sub.add_argument("--scenario", action="append", default=[],
+                     dest="scenarios", choices=bench_names)
+    sub.add_argument("--topology", action="append", default=[],
+                     dest="topologies",
+                     choices=sorted({s.topology for s in SCENARIOS.values()}),
+                     help="every scenario on this topology")
+    sub.add_argument("--baseline", metavar="DIR",
+                     default=os.path.join("benchmarks", "baseline"))
+    sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                     help="tolerated regression of deterministic metrics")
+    sub.add_argument("--perf-threshold", type=float,
+                     default=DEFAULT_PERF_THRESHOLD,
+                     help="tolerated regression of timing metrics")
+    sub.add_argument("--update-baseline", action="store_true",
+                     help="re-record the baselines")
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument("--clients", type=int, metavar="N",
+                      help="one supervised sharded run of N viewers")
+    mode.add_argument("--scale-curve", action="store_true",
+                      help="the sharded scaling curve")
+    sub.add_argument("--shards", type=int, default=4, metavar="K")
+    sub.add_argument("--cell", type=int, default=8, metavar="N",
+                     help="viewers per shard cell")
+    sub.add_argument("--seed", type=int, default=11)
+    sub.add_argument("--duration", type=float, default=6.0,
+                     help="document length in seconds (--clients)")
+    sub.add_argument("--tolerate-shard-failures", action="store_true",
+                     help="degrade to a partial result on shard failure")
+
+    sub = command("profile", _profile,
+                  "DES kernel profile: hot spots, PROFILE_<name>.json and "
+                  "collapsed stacks")
+    sub.add_argument("--scenario", action="append", default=[],
+                     dest="scenarios", choices=bench_names,
+                     help="default: population_clean")
+    sub.add_argument("--smoke", action="store_true")
+    sub.add_argument("--out", default=".", metavar="DIR")
+    sub.add_argument("--top", type=int, default=15,
+                     help="rows in the hot-spot table")
+
+    sub = command("slo", _slo,
+                  "evaluate SLO rules against an artifact or a live run; "
+                  "exit 1 on a violated rule")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--artifact", metavar="FILE")
+    source.add_argument("--scenario", choices=bench_names,
+                        help="a live bench run")
+    source.add_argument("--chaos", choices=chaos_names,
+                        help="a live chaos run")
+    sub.add_argument("--smoke", action="store_true")
+    sub.add_argument("--spec", metavar="KEY",
+                     help="a shipped spec (default: the artifact's name)")
+    sub.add_argument("--spec-file", metavar="FILE")
+    sub.add_argument("--rule", action="append", default=[], dest="rules",
+                     metavar="'METRIC OP N'")
+    sub.add_argument("--flight-dump", metavar="FILE",
+                     help="(--chaos) dump the flight recorder on fault "
+                     "injection or SLO violation")
+
+    sub = command("chaos", _chaos,
+                  "fault-injection run: scheduled crashes, flaps and "
+                  "partitions against failover and retry")
+    sub.add_argument("--scenario", default="crash", choices=chaos_names)
+    sub.add_argument("--smoke", action="store_true")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--clients", type=int, metavar="N")
+    sub.add_argument("--no-recovery", action="store_false",
+                     dest="recovery", help="disable stream failover")
+    sub.add_argument("--no-retry", action="store_const", const=False,
+                     dest="retry", help="disable control RPC retry")
+    sub.add_argument("--check-determinism", action="store_true",
+                     help="run twice and compare digests")
+    sub.add_argument("--min-delivered", type=float, metavar="FRAC")
+    sub.add_argument("--min-completed", type=float, metavar="FRAC")
+    sub.add_argument("--out", metavar="FILE")
+    sub.add_argument("--flight-dump", metavar="FILE",
+                     help="dump the flight-recorder window around the "
+                     "first injected fault")
+    sub.add_argument("--flight-window", type=float, default=30.0,
+                     metavar="SECONDS")
+
+    sub = command("trend", _trend,
+                  "judge the newest artifact of each scenario against "
+                  "its history; exit 1 on a regression")
+    sub.add_argument("--history", action="append", default=[],
+                     metavar="DIR|FILE",
+                     help="default: benchmarks/history")
+    sub.add_argument("--artifact", action="append", default=[],
+                     dest="artifacts", metavar="FILE",
+                     help="appended as the newest point of its group")
+    sub.add_argument("--threshold", type=float)
+    sub.add_argument("--perf-threshold", type=float)
+
+    sub = command("report", _report,
+                  "markdown dashboard for one artifact: QoE, service, "
+                  "time series, SLO status, trend")
+    artifact = sub.add_mutually_exclusive_group(required=True)
+    artifact.add_argument("artifact_file", nargs="?", metavar="ARTIFACT")
+    artifact.add_argument("--artifact", metavar="FILE")
+    sub.add_argument("--out", metavar="FILE.md")
+    sub.add_argument("--history", action="append", default=[],
+                     metavar="DIR|FILE")
+
+    sub = command("lint", _lint,
+                  "determinism linter over .py files and scenario "
+                  "analyzer over .hml files")
+    sub.add_argument("paths", nargs="*", metavar="PATH")
+    sub.add_argument("--self", action="store_true", dest="self_lint",
+                     help="lint src/repro as a whole program")
+    sub.add_argument("--scenarios", action="store_true",
+                     help="analyze the shipped scenario corpus")
+    sub.add_argument("--capacity-mbps", type=float, metavar="F")
+    sub.add_argument("--closed-set", action="store_true",
+                     help="treat the .hml paths as one closed set")
+    sub.add_argument("--examples-dir", metavar="DIR")
+    sub.add_argument("--format", default="text", choices=("text", "github"))
+    sub.add_argument("--baseline", metavar="FILE",
+                     help="suppress the findings listed in FILE "
+                     "(--self default: ./lint-baseline.json)")
+    sub.add_argument("--write-baseline", metavar="FILE",
+                     help="snapshot the current findings")
+    sub.add_argument("--list-rules", action="store_true")
+    return parser, subparsers.choices
+
+
+def _usage_problem(ns: argparse.Namespace, args: list[str]) -> str | None:
+    """A flag combination the parser itself cannot reject, or None."""
+    if ns.command == "trace" and ns.record is None and not ns.inputs:
+        return "give a FILE.jsonl to summarize or --record OUT.jsonl"
+    if ns.command == "slo" and ns.flight_dump and ns.chaos is None:
+        return "--flight-dump needs a live --chaos run"
+    if ns.command == "bench":
+        if ns.scale_curve:
+            mode, ignored = "--scale-curve", (*_BENCH_SCENARIO_FLAGS,
+                                              "--duration")
+        elif ns.clients is not None:
+            mode, ignored = "--clients", _BENCH_SCENARIO_FLAGS
+        else:
+            mode, ignored = "a scenario run", _BENCH_SHARD_FLAGS
+        given = {a.split("=", 1)[0] for a in args}
+        for flag in ignored:
+            if flag in given:
+                return f"{flag} does not apply to {mode}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    json_mode = "--json" in args
-    if json_mode:
-        args = [a for a in args if a != "--json"]
-    report = Reporter(json_mode=json_mode)
+    parser, commands = _build_parser()
     try:
-        if not args or args[0] in ("-h", "--help", "help"):
-            print(__doc__)
-            return 0
-        cmd = args[0]
-        if cmd == "list":
-            report.table("experiments", ["key", "title"],
-                         [[k, title] for k, (_, title) in
-                          EXPERIMENTS.items()])
-            report.table("figures", ["key", "title"],
-                         [[k, title] for k, title in FIGURES.items()])
-            return 0
-        if cmd == "demo":
-            return _demo(report)
-        if cmd == "trace":
-            return _trace(args[1:], report)
-        if cmd == "bench":
-            return _bench(args[1:], report)
-        if cmd == "chaos":
-            return _chaos(args[1:], report)
-        if cmd == "profile":
-            return _profile(args[1:], report)
-        if cmd == "slo":
-            return _slo(args[1:], report)
-        if cmd == "trend":
-            return _trend(args[1:], report)
-        if cmd == "report":
-            return _report(args[1:], report)
-        if cmd == "lint":
-            return _lint(args[1:], report)
-        if cmd == "run":
-            if len(args) < 2:
-                report.text("usage: python -m repro run "
-                            "<e1..e11|table1|fig1|fig2|fig4>")
-                return 2
-            key = args[1].lower()
-            if key in EXPERIMENTS:
-                return _run_experiment(key, report)
-            if key in FIGURES:
-                return _run_figure(key, report)
-            report.text(f"unknown target {key!r}; "
-                        "try 'python -m repro list'")
+        ns, extra = parser.parse_known_args(args)
+        if extra:
+            # blame the subcommand, whose usage lists the flags it takes
+            (commands.get(ns.command) or parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
+    except SystemExit as exc:  # usage error (2) or -h (0)
+        return int(exc.code or 0)
+    if ns.command in (None, "help"):
+        parser.print_help()
+        return 0
+    report = Reporter(json_mode=ns.json)
+    try:
+        problem = _usage_problem(ns, args)
+        if problem:
+            sub = commands[ns.command]
+            report.text(sub.format_usage().rstrip(),
+                        f"{sub.prog}: error: {problem}")
             return 2
-        report.text(f"unknown command {cmd!r}; try 'python -m repro help'")
-        return 2
+        return ns.run(ns, report)
     finally:
         report.close()
 

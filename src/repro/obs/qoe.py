@@ -378,9 +378,13 @@ def score_session(
 def score_sessions(
     events: list[TraceEvent],
 ) -> dict[str, SessionQoE]:
-    """Score every session that opened a ``session`` span in the trace."""
-    sessions = [e.name for e in events
-                if e.kind == "session" and e.phase == "B"]
+    """Score every session that a surviving trace event names.
+
+    A ring-buffered recording may have shed a session's ``session``
+    span begin; :func:`score_session` then falls back to the session's
+    first and last surviving events for the span edges.
+    """
+    sessions = dict.fromkeys(e.session for e in events if e.session)
     spans = correlate_frames(events)
     out: dict[str, SessionQoE] = {}
     for sess in sessions:

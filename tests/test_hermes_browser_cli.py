@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.__main__ as cli
 from repro.hermes import HermesBrowser, HermesService, make_course
 from repro.__main__ import EXPERIMENTS, FIGURES, main
 
@@ -81,7 +82,68 @@ def test_cli_run_fast_experiments(capsys):
     assert "hermes" in capsys.readouterr().out
 
 
-def test_cli_error_paths(capsys):
+#: malformed invocations: each is a usage error (exit 2) caught before
+#: any command body runs
+MALFORMED = [
+    # a value flag with its value missing
+    ["bench", "--out"],
+    ["lint", "--format"],
+    ["slo", "--artifact"],
+    ["chaos", "--seed"],
+    ["report", "--history"],
+    ["profile", "--top"],
+    # a value of the wrong type or outside a closed set
+    ["trace", "--top", "x"],
+    ["bench", "--scenario", "nope"],
+    ["chaos", "--scenario", "nope"],
+    ["profile", "--scenario", "nope"],
+    ["bench", "--topology", "mesh"],
+    ["lint", "--self", "--format", "sarif"],
+    # a flag the command does not take
+    ["trace", "--bogus"],
+    ["lint", "--frobnicate"],
+    # a flag the chosen bench mode would ignore
+    ["bench", "--scale-curve", "--duration", "2"],
+    ["bench", "--clients", "16", "--profile"],
+    ["bench", "--clients", "16", "--scenario", "population_clean"],
+    ["bench", "--shards", "2"],
+    ["bench", "--clients", "16", "--scale-curve"],
+    # a missing or ambiguous source
+    ["trace"],
+    ["slo"],
+    ["slo", "--artifact", "a.json", "--chaos", "crash"],
+    ["slo", "--artifact", "a.json", "--flight-dump", "d.jsonl"],
+    ["report"],
+    ["report", "a.json", "--artifact", "b.json"],
+]
+
+COMMANDS = ["help", "list", "run", "demo", "trace", "bench", "profile",
+            "slo", "chaos", "trend", "report", "lint"]
+
+
+def _refuse_command_bodies(monkeypatch):
+    def refuse(ns, report):
+        raise AssertionError(f"{ns.command} ran on a usage error")
+
+    for name in ("_list", "_run", "_demo", "_trace", "_bench", "_profile",
+                 "_slo", "_chaos", "_trend", "_report", "_lint"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def test_cli_error_paths(capsys, monkeypatch):
     assert main(["run"]) == 2
     assert main(["run", "e99"]) == 2
     assert main(["frobnicate"]) == 2
+    _refuse_command_bodies(monkeypatch)
+    for argv in MALFORMED:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.out + captured.err, argv
+        assert "Traceback" not in captured.out + captured.err, argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_subcommand_help_exits_zero(command, capsys, monkeypatch):
+    _refuse_command_bodies(monkeypatch)
+    assert main([command, "-h"]) == 0
+    assert "usage: python -m repro" in capsys.readouterr().out

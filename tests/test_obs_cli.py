@@ -79,7 +79,12 @@ def test_trace_summary_stamps_a_capped_recording_partial(tmp_path, capsys):
     from repro.core import ServiceEngine
     from repro.core.config import EngineConfig
     from repro.core.experiments import av_markup
-    from repro.obs import RecordingTracer, summarize_trace, write_jsonl
+    from repro.obs import (
+        RecordingTracer,
+        score_sessions,
+        summarize_trace,
+        write_jsonl,
+    )
 
     tracer = RecordingTracer(max_events=4500)
     eng = ServiceEngine(EngineConfig(seed=5), tracer=tracer)
@@ -91,6 +96,11 @@ def test_trace_summary_stamps_a_capped_recording_partial(tmp_path, capsys):
         eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=1.5)
     assert tracer.dropped_events > 0
     assert len(tracer.events) == 4500
+    # both sessions survive in the ring, so both are scored, though
+    # the first one's span begin was shed
+    named = {e.session for e in tracer.events if e.session}
+    assert named == {"sess-1", "sess-2"}
+    assert set(score_sessions(list(tracer.events))) == named
 
     titles = [s["title"] for s in summarize_trace(list(tracer.events))]
     assert not any("partial" in t for t in titles)
